@@ -12,7 +12,7 @@
 //! writeback, and work counters, and the GPU interval model turns them
 //! into FPS deterministically. Payload bytes are a pure function of
 //! the spec, so artifacts are byte-identical whether the jobs ran
-//! in-process, in a spawned daemon, or across a fleet.
+//! in-process or in a spawned daemon.
 
 use grbench::figures::{self, CountedCell, PerfConfig};
 use grcheck::conform;

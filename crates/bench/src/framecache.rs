@@ -21,10 +21,17 @@
 //! [`ChunkedReader`], so even a full-scale `GR_SCALE=full` frame fits in a
 //! few megabytes of working set. `GR_STREAM_CHUNK` tunes the chunk size
 //! (accesses per read; default 65536).
+//!
+//! Every disk-tier file is published atomically (see [`publish`]): it is
+//! written to a unique temporary file in the cache directory and renamed
+//! into place, so concurrent cells of the same frame — in this process or
+//! another — never observe, or truncate, a half-written `.grtr`, `.work`
+//! or `.nu` file.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use grcache::annotate_next_use;
@@ -93,11 +100,32 @@ fn load_next_use(path: &Path, expected: u64) -> Option<Vec<u64>> {
 fn store_next_use(path: &Path, nu: &[u64]) {
     // Sidecar write failures are never fatal — the in-memory annotation is
     // already computed — so errors are dropped.
-    let _ = (|| -> io::Result<()> {
-        let mut writer = io::BufWriter::new(std::fs::File::create(path)?);
-        grtrace::io::write_next_use(&mut writer, nu)?;
-        writer.flush()
+    let _ = publish(path, |writer| grtrace::io::write_next_use(writer, nu));
+}
+
+/// Writes `path` atomically: `fill` writes the contents into a temporary
+/// file unique to this process and call, in the same directory, which is
+/// then flushed and renamed over `path`. Readers see either the previous
+/// complete file or the new complete file, never a truncated one. On
+/// error the temporary file is removed and `path` is left untouched.
+fn publish(
+    path: &Path,
+    fill: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.{}.tmp", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = path.with_file_name(name);
+    let written = (|| {
+        let mut writer = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        fill(&mut writer)?;
+        writer.flush()?;
+        std::fs::rename(&tmp, path)
     })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Cache key: workload identity (app abbreviation or frame-graph cache
@@ -176,15 +204,16 @@ pub fn ensure_on_disk(app: &AppProfile, frame: u32, scale: Scale) -> io::Result<
         return Ok(Some(trace_path));
     }
     let mut stream = FrameStream::new(app, frame, scale);
-    let file = std::fs::File::create(&trace_path)?;
-    let mut writer = TraceWriter::new(io::BufWriter::new(file), app.name, frame)?;
-    while stream.advance()? {
-        for a in stream.chunk().accesses {
-            writer.push(a)?;
+    publish(&trace_path, |file| {
+        let mut writer = TraceWriter::new(file, app.name, frame)?;
+        while stream.advance()? {
+            for a in stream.chunk().accesses {
+                writer.push(a)?;
+            }
         }
-    }
-    writer.finish()?.flush()?;
-    std::fs::write(&work_path, write_work(&stream.work()))?;
+        writer.finish().map(drop)
+    })?;
+    publish(&work_path, |file| file.write_all(&write_work(&stream.work())))?;
     Ok(Some(trace_path))
 }
 
@@ -278,15 +307,16 @@ pub fn graph_ensure_on_disk(
         return Ok(Some(trace_path));
     }
     let mut stream = GraphStream::new(graph, frame, scale);
-    let file = std::fs::File::create(&trace_path)?;
-    let mut writer = TraceWriter::new(io::BufWriter::new(file), graph.name(), frame)?;
-    while stream.advance()? {
-        for a in stream.chunk().accesses {
-            writer.push(a)?;
+    publish(&trace_path, |file| {
+        let mut writer = TraceWriter::new(file, graph.name(), frame)?;
+        while stream.advance()? {
+            for a in stream.chunk().accesses {
+                writer.push(a)?;
+            }
         }
-    }
-    writer.finish()?.flush()?;
-    std::fs::write(&work_path, write_work(&stream.work()))?;
+        writer.finish().map(drop)
+    })?;
+    publish(&work_path, |file| file.write_all(&write_work(&stream.work())))?;
     Ok(Some(trace_path))
 }
 
@@ -359,13 +389,7 @@ fn graph_load_from_disk(graph: &FrameGraph, frame: u32, scale: Scale) -> Option<
 fn graph_store_to_disk(graph: &FrameGraph, frame: u32, scale: Scale, data: &FrameData) {
     let Some(dir) = disk_dir() else { return };
     let stem = graph_file_stem(graph, frame, scale);
-    let _ = (|| -> io::Result<()> {
-        let file = std::fs::File::create(dir.join(format!("{stem}.grtr")))?;
-        let mut writer = io::BufWriter::new(file);
-        grtrace::io::write(&mut writer, &data.trace)?;
-        writer.flush()?;
-        std::fs::write(dir.join(format!("{stem}.work")), write_work(&data.work))
-    })();
+    let _ = store_pair(dir, &stem, data);
 }
 
 /// The `.nu` sidecar path for a frame, when the disk tier is active.
@@ -396,13 +420,13 @@ fn store_to_disk(app: &AppProfile, frame: u32, scale: Scale, data: &FrameData) {
     let stem = file_stem(app, frame, scale);
     // A cache write failure is never fatal — the in-memory tier still holds
     // the frame — so errors are dropped.
-    let _ = (|| -> io::Result<()> {
-        let file = std::fs::File::create(dir.join(format!("{stem}.grtr")))?;
-        let mut writer = io::BufWriter::new(file);
-        grtrace::io::write(&mut writer, &data.trace)?;
-        writer.flush()?;
-        std::fs::write(dir.join(format!("{stem}.work")), write_work(&data.work))
-    })();
+    let _ = store_pair(dir, &stem, data);
+}
+
+/// Publishes a materialized frame's `.grtr` trace and `.work` sidecar.
+fn store_pair(dir: &Path, stem: &str, data: &FrameData) -> io::Result<()> {
+    publish(&dir.join(format!("{stem}.grtr")), |file| grtrace::io::write(file, &data.trace))?;
+    publish(&dir.join(format!("{stem}.work")), |file| file.write_all(&write_work(&data.work)))
 }
 
 fn write_work(w: &FrameWork) -> Vec<u8> {

@@ -192,9 +192,9 @@ pub struct RunPerf {
     /// first-run trace synthesis, Belady annotation, and the merge phase —
     /// see [`RunPerf::replay_seconds`] for the replay-only figure.
     pub wall_seconds: f64,
-    /// Seconds spent inside the per-cell replay loops only, summed across
-    /// cells. Workers run in parallel, so this is CPU time, not wall
-    /// time; it excludes trace synthesis, annotation passes, and the
+    /// Seconds spent inside the per-cell replay loops only, summed over
+    /// workers (and cells). Workers run in parallel, so this is CPU time,
+    /// not wall time, and may exceed `wall_seconds`; it excludes trace synthesis, annotation passes, and the
     /// merge, which is what makes it the number benchmark trajectories
     /// should track.
     pub replay_seconds: f64,
@@ -1018,12 +1018,10 @@ mod tests {
         assert!(r.perf.accesses_per_sec() > 0.0);
         assert!(r.perf.replay_seconds > 0.0);
         assert!(r.perf.merge_seconds >= 0.0);
-        // Replay is a strict subset of the run: synthesis and merge are
-        // excluded, so on one thread replay time cannot exceed wall time.
-        if r.perf.threads == 1 {
-            assert!(r.perf.replay_seconds <= r.perf.wall_seconds);
-        }
-        assert!(r.perf.replay_accesses_per_sec() >= r.perf.accesses_per_sec());
+        // Replay time is summed over workers, and each worker's share is a
+        // subset of the run's wall time, so the sum is bounded by
+        // threads x wall (on one thread: replay <= wall).
+        assert!(r.perf.replay_seconds <= r.perf.threads as f64 * r.perf.wall_seconds);
     }
 
     #[test]

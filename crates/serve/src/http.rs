@@ -214,14 +214,6 @@ impl Response {
         self
     }
 
-    /// Sets a raw byte body with an explicit content type — the fleet
-    /// front tier uses this to pass backend payloads through untouched.
-    pub fn with_raw(mut self, body: Vec<u8>, content_type: &str) -> Response {
-        self.body = body;
-        self.headers.push(("Content-Type".into(), content_type.into()));
-        self
-    }
-
     /// Appends a header.
     pub fn with_header(mut self, name: &str, value: &str) -> Response {
         self.headers.push((name.into(), value.into()));
@@ -269,7 +261,6 @@ fn status_text(status: u16) -> &'static str {
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
-        502 => "Bad Gateway",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -278,10 +269,11 @@ fn status_text(status: u16) -> &'static str {
 /// A fetched response: status code, headers (lowercased names), body.
 pub type FetchResponse = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// One blocking `Connection: close` HTTP exchange — the internal client
-/// used for result-cache peering and front-tier forwarding. Reads the
-/// response body by `Content-Length` (every grserved response carries
-/// one), so it works against keep-alive servers too.
+/// One blocking `Connection: close` HTTP exchange — the client that
+/// drives a `grserved` from other programs (job submission, polling,
+/// metrics scrapes, shutdown). Reads the response body by
+/// `Content-Length` (every grserved response carries one), so it works
+/// against keep-alive servers too.
 pub fn fetch(
     addr: &str,
     method: &str,
@@ -378,7 +370,7 @@ mod tests {
 
     #[test]
     fn status_texts_cover_served_codes() {
-        for code in [200, 202, 400, 404, 405, 408, 413, 429, 431, 500, 502, 503] {
+        for code in [200, 202, 400, 404, 405, 408, 413, 429, 431, 500, 503] {
             assert_ne!(status_text(code), "Unknown", "missing reason for {code}");
         }
     }

@@ -9,21 +9,16 @@
 //! | `POST /v1/jobs` | Submit a job spec (apps × frames × policies × geometry) |
 //! | `GET /v1/jobs/{id}` | Lifecycle state + parsed result |
 //! | `GET /v1/jobs/{id}/result` | Raw payload bytes (bit-for-bit surface) |
-//! | `GET /v1/cache/{id}` | Peer cache probe (fleet peering; never executes) |
-//! | `GET /v1/policies`, `/v1/apps` | Discoverable vocabulary |
+//! | `GET /v1/policies`, `/v1/apps`, `/v1/profiles` | Discoverable vocabulary |
 //! | `GET /metrics` | Prometheus text exposition |
 //! | `POST /v1/shutdown` | Graceful drain (opt-in) |
 //!
 //! The connection layer ([`eventloop`]) is a single-threaded epoll
 //! readiness loop ([`poll`]) speaking HTTP/1.1 keep-alive with pipelining
 //! — one daemon holds tens of thousands of idle connections for the cost
-//! of their buffers. Simulation still runs on a Condvar worker pool;
-//! the two meet through per-request completion tickets.
-//!
-//! Fleet mode ([`fleet`]) stacks a front tier on the same loop: jobs are
-//! sharded across backend daemons by their content digest via rendezvous
-//! hashing, and backends probe each other's `/v1/cache/{id}` before
-//! executing, so a result computed anywhere is a cache hit everywhere.
+//! of their buffers. Every request is answered inline on the loop;
+//! simulation runs on a Condvar worker pool that the loop only enqueues
+//! to and polls.
 //!
 //! Three properties hold the design together:
 //!
@@ -32,12 +27,10 @@
 //! 2. **Content-addressed results** ([`resultcache`]): the job id is the
 //!    SHA-256 of the canonical spec, so cached payloads need no
 //!    invalidation — memory tier for the process, size-bounded disk tier
-//!    across restarts, peer tier across the fleet. The same digest is the
-//!    shard-routing key, so an id's owner is also its cache home.
+//!    across restarts.
 //! 3. **Deterministic payloads** ([`job`]): no wall-clock fields, same
 //!    replay path and aggregation order as the offline tools, so the
-//!    service answer is bit-identical to a direct run — through any
-//!    number of fronts, shards, and peer adoptions. `grload smoke`
+//!    service answer is bit-identical to a direct run. `grload smoke`
 //!    asserts exactly that.
 //!
 //! Admission control is a bounded queue: beyond `queue_cap` pending jobs
@@ -49,7 +42,6 @@
 //! linger window.
 
 pub mod eventloop;
-pub mod fleet;
 pub mod hash;
 pub mod http;
 pub mod job;
@@ -59,7 +51,6 @@ pub mod resultcache;
 pub mod server;
 pub mod spec;
 
-pub use fleet::{start_front, FrontConfig, FrontHandle, Ring};
 pub use job::{execute, JobOutput};
 pub use server::{start, ExecuteFn, ServerConfig, ServerHandle};
 pub use spec::JobSpec;

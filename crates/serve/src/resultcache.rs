@@ -18,7 +18,7 @@
 //! available proxy for cross-restart recency), and the budget is enforced
 //! immediately, so shrinking the budget across a restart also shrinks the
 //! directory. Files are written tmp-then-rename so a concurrent reader
-//! (or a peer daemon fetching over HTTP) never sees a torn payload.
+//! never sees a torn payload.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -64,7 +64,7 @@ impl DiskIndex {
             if victim == id {
                 // Never evict the entry being stored, even if it alone
                 // exceeds the budget — a cache that refuses its newest
-                // result would defeat peering.
+                // result would miss the very resubmission it exists for.
                 self.by_seq.insert(seq, victim);
                 break;
             }
