@@ -112,7 +112,8 @@ pub fn time_frame(
     let load = (t_mem / frame_base.max(1.0)).min(0.95);
     let latency_ns = service_ns * (1.0 + load / (2.0 * (1.0 - load)));
 
-    let misses = memory_requests.iter().filter(|&&(_, w)| !w).count() as f64;
+    // Every demand read in the log is an LLC miss.
+    let misses = saturated.reads as f64;
     // Raw exposed latency if every thread simply waited...
     let hiding = f64::from(cfg.thread_contexts()) * cfg.mlp * cfg.hiding_efficiency;
     let raw_exposure = misses * latency_ns / hiding.max(1.0);
