@@ -3,20 +3,20 @@
 //! ```text
 //! grbench perf                                   # default sweep -> BENCH_replay.json
 //! grbench perf --policies NRU,SRRIP --min-secs 1
-//! grbench perf --scales tiny --lanes 8
+//! grbench perf --scales tiny
 //! grbench perf --baseline BENCH_baseline.json    # regression gate (exit 1)
 //! ```
 //!
-//! `perf` times the LLC replay loop per policy through four modes —
-//! scalar-pinned mono, batched mono, boxed fallback, and interleaved
-//! lanes — on cached synthesized frames at every requested scale, and
+//! `perf` times the LLC replay loop per policy through three modes —
+//! scalar-pinned mono (the per-access loop), default-kind mono (the
+//! batched driver where the host has AVX2), and the boxed fallback — on
+//! cached synthesized frames at every requested scale, and
 //! writes the rates to a JSON document (see [`grbench::perfbench`]). With
 //! `--baseline` it compares the normalized per-policy rates (mono *and*
 //! scalar path, per scale) against a committed run and exits non-zero
 //! when anything regresses more than the tolerance.
 //!
-//! Honours `GR_SIMD` (probe-kernel selection for the non-scalar modes)
-//! and `GR_TRACE_CACHE`; run with `GR_THREADS=1` for the least noisy
+//! Honours `GR_TRACE_CACHE`; run with `GR_THREADS=1` for the least noisy
 //! numbers (the benchmark itself is single-threaded).
 
 use grbench::perfbench::{self, scale_name, PerfOptions};
@@ -26,7 +26,7 @@ use grsynth::Scale;
 fn usage() -> ! {
     eprintln!(
         "usage: grbench perf [--policies A,B,...] [--app APP] [--frame N] [--mb MB]\n\
-         \x20                [--min-secs S] [--scales tiny,quarter,...] [--lanes K]\n\
+         \x20                [--min-secs S] [--scales tiny,quarter,...]\n\
          \x20                [--out PATH] [--baseline PATH] [--tolerance F]"
     );
     std::process::exit(2);
@@ -63,7 +63,6 @@ fn perf(args: &[String]) {
                     .map(|s| Scale::from_name(s.trim()).unwrap_or_else(|| usage()))
                     .collect();
             }
-            "--lanes" => opts.lanes = value().parse().unwrap_or_else(|_| usage()),
             "--out" => out_path = value(),
             "--baseline" => baseline_path = Some(value()),
             "--tolerance" => tolerance = value().parse().unwrap_or_else(|_| usage()),
@@ -76,35 +75,21 @@ fn perf(args: &[String]) {
     let doc = report.to_json(&perfbench::git_rev());
 
     for sr in &report.scales {
-        println!(
-            "[{}] {} accesses/replay, {} lanes",
-            scale_name(sr.scale),
-            sr.accesses_per_replay,
-            report.lanes
-        );
-        let line = |name: &str, scalar: f64, mono: f64, boxed: f64, lanes: f64| {
+        println!("[{}] {} accesses/replay", scale_name(sr.scale), sr.accesses_per_replay);
+        let line = |name: &str, scalar: f64, mono: f64, boxed: f64| {
             println!(
-                "  {:<12} scalar {:>11.0}   mono {:>11.0}   boxed {:>11.0}   lanes {:>11.0}   \
-                 simd {:.2}x   lanes {:.2}x",
+                "  {:<12} scalar {:>11.0}   mono {:>11.0}   boxed {:>11.0}   simd {:.2}x",
                 name,
                 scalar,
                 mono,
                 boxed,
-                lanes,
                 if scalar > 0.0 { mono / scalar } else { 0.0 },
-                if scalar > 0.0 { lanes / scalar } else { 0.0 },
             );
         };
         for rate in &sr.rates {
-            line(&rate.name, rate.scalar, rate.mono, rate.boxed, rate.lanes);
+            line(&rate.name, rate.scalar, rate.mono, rate.boxed);
         }
-        line(
-            "geomean",
-            sr.geomean_scalar(),
-            sr.geomean_mono(),
-            sr.geomean_boxed(),
-            sr.geomean_lanes(),
-        );
+        line("geomean", sr.geomean_scalar(), sr.geomean_mono(), sr.geomean_boxed());
     }
 
     std::fs::write(&out_path, doc.to_string_pretty() + "\n")

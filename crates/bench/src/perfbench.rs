@@ -1,20 +1,16 @@
 //! The tracked replay microbenchmark behind `grbench perf`.
 //!
 //! Times [`grcache::Llc::run_source`] policy by policy on cached
-//! synthesized frames, through four replay modes:
+//! synthesized frames, through three replay modes:
 //!
-//! * **scalar** — [`gspc::registry::with_policy`] with the probe kernel
+//! * **scalar** — [`gspc::registry::with_policy`] with the probe kind
 //!   pinned to [`grcache::ProbeKind::Scalar`]: the monomorphized visitor
-//!   path running the pre-vectorization reference loop. This is the
-//!   denominator the SIMD work is measured against.
-//! * **mono** — the same visitor path with the best probe kernel the host
-//!   supports (AVX2 → SSE2 → portable): the batched front end the
-//!   experiment runner uses by default.
+//!   path running the per-access loop, the default on hosts without AVX2.
+//! * **mono** — the same visitor path on the host's default kind
+//!   ([`grcache::ProbeKind::best_available`]): the batched AVX2 driver the
+//!   experiment runner uses where the host has AVX2.
 //! * **boxed** — [`gspc::registry::create`], the `Box<dyn Policy>`
 //!   fallback paying a virtual call per policy event.
-//! * **lanes** — [`grcache::replay_lanes`] interleaving K independent LLC
-//!   cells over shared trace windows (set-level parallelism); its rate is
-//!   the *aggregate* accesses/sec across all K cells.
 //!
 //! # Measurement discipline
 //!
@@ -22,8 +18,8 @@
 //! effects being tracked. Two countermeasures:
 //!
 //! * **Interleaved rounds.** Each policy's modes are timed in [`ROUNDS`]
-//!   rounds of one window per mode, cycling scalar → mono → boxed → lanes
-//!   within each round, so every mode samples the same stretches of wall
+//!   rounds of one window per mode, cycling scalar → mono → boxed within
+//!   each round, so every mode samples the same stretches of wall
 //!   clock. A background daemon that fires mid-measurement slows one
 //!   window of *every* mode instead of poisoning whichever single mode
 //!   owned that time slice.
@@ -49,7 +45,7 @@ use std::time::Instant;
 use grcache::{Llc, LlcConfig, Policy, ProbeKind};
 use grsynth::{AppProfile, Scale};
 use gspc::registry;
-use gspc::registry::{PolicyLanesVisitor, PolicyVisitor};
+use gspc::registry::PolicyVisitor;
 
 use crate::framecache::{self, FrameData};
 use crate::json::Json;
@@ -81,15 +77,13 @@ pub struct PerfOptions {
     /// arithmetic); quarter spills to memory, exercising the prefetch and
     /// latency-hiding side of the batched front end.
     pub scales: Vec<Scale>,
-    /// Independent LLC cells interleaved by the lanes mode.
-    pub lanes: usize,
 }
 
 impl PerfOptions {
     /// The default sweep: the registry's `perf` group (the acceptance
     /// pair, the paper's headline policies, and the OPT family — the
     /// registry's own tests pin the membership), one BioShock frame at
-    /// tiny and quarter scale, half a second per measurement, four lanes.
+    /// tiny and quarter scale, half a second per measurement.
     pub fn default_sweep() -> Self {
         PerfOptions {
             policies: registry::group_names(registry::GROUP_PERF),
@@ -98,7 +92,6 @@ impl PerfOptions {
             llc_paper_mb: 8,
             min_secs: 0.5,
             scales: vec![Scale::Tiny, Scale::Quarter],
-            lanes: 4,
         }
     }
 }
@@ -109,15 +102,13 @@ pub struct PolicyRate {
     /// Registry name.
     pub name: String,
     /// Accesses/sec through the monomorphized visitor path with the probe
-    /// kernel pinned to scalar — the pre-vectorization reference.
+    /// kind pinned to scalar — the per-access loop.
     pub scalar: f64,
-    /// Accesses/sec through the monomorphized visitor path with the best
-    /// available probe kernel.
+    /// Accesses/sec through the monomorphized visitor path on the host's
+    /// default probe kind.
     pub mono: f64,
-    /// Accesses/sec through the boxed fallback path (best kernel).
+    /// Accesses/sec through the boxed fallback path (default kind).
     pub boxed: f64,
-    /// Aggregate accesses/sec across all interleaved lanes (best kernel).
-    pub lanes: f64,
 }
 
 impl PolicyRate {
@@ -126,16 +117,10 @@ impl PolicyRate {
         ratio(self.mono, self.boxed)
     }
 
-    /// Mono rate over scalar rate — the vectorized-batch payoff on a
-    /// single replay stream.
+    /// Mono rate over scalar rate — the batched driver's payoff over the
+    /// per-access loop.
     pub fn simd_speedup(&self) -> f64 {
         ratio(self.mono, self.scalar)
-    }
-
-    /// Aggregate lanes rate over the scalar rate — the full payoff of the
-    /// vectorized core once set-level parallelism is in play.
-    pub fn lanes_speedup(&self) -> f64 {
-        ratio(self.lanes, self.scalar)
     }
 }
 
@@ -152,7 +137,7 @@ fn ratio(num: f64, den: f64) -> f64 {
 pub struct ScaleReport {
     /// Rendering scale of the replayed frame.
     pub scale: Scale,
-    /// LLC accesses in one replay of the frame (one lane's worth).
+    /// LLC accesses in one replay of the frame.
     pub accesses_per_replay: u64,
     /// Per-policy rates, in the order requested.
     pub rates: Vec<PolicyRate>,
@@ -174,11 +159,6 @@ impl ScaleReport {
         geomean(self.rates.iter().map(|r| r.boxed))
     }
 
-    /// Geometric mean of the aggregate lanes rates.
-    pub fn geomean_lanes(&self) -> f64 {
-        geomean(self.rates.iter().map(|r| r.lanes))
-    }
-
     /// A policy's mono rate divided by the scale's geometric mean — the
     /// host-independent number the regression gate compares.
     pub fn normalized_mono(&self, rate: &PolicyRate) -> f64 {
@@ -187,8 +167,7 @@ impl ScaleReport {
 
     /// A policy's scalar rate divided by the scale's geometric mean. The
     /// gate checks this alongside the mono figure so a regression on the
-    /// `GR_SIMD=0` reference path cannot hide behind a healthy batched
-    /// path.
+    /// per-access loop cannot hide behind a healthy batched path.
     pub fn normalized_scalar(&self, rate: &PolicyRate) -> f64 {
         ratio(rate.scalar, self.geomean_scalar())
     }
@@ -201,10 +180,8 @@ impl ScaleReport {
                 .set("scalar_accesses_per_sec", r.scalar)
                 .set("mono_accesses_per_sec", r.mono)
                 .set("boxed_accesses_per_sec", r.boxed)
-                .set("lanes_accesses_per_sec", r.lanes)
                 .set("speedup", r.speedup())
                 .set("simd_speedup", r.simd_speedup())
-                .set("lanes_speedup", r.lanes_speedup())
                 .set("normalized_mono", self.normalized_mono(r))
                 .set("normalized_scalar", self.normalized_scalar(r));
             policies.set(r.name.clone(), entry);
@@ -214,10 +191,8 @@ impl ScaleReport {
             .set("scalar_accesses_per_sec", self.geomean_scalar())
             .set("mono_accesses_per_sec", self.geomean_mono())
             .set("boxed_accesses_per_sec", self.geomean_boxed())
-            .set("lanes_accesses_per_sec", self.geomean_lanes())
             .set("speedup", ratio(self.geomean_mono(), self.geomean_boxed()))
-            .set("simd_speedup", ratio(self.geomean_mono(), self.geomean_scalar()))
-            .set("lanes_speedup", ratio(self.geomean_lanes(), self.geomean_scalar()));
+            .set("simd_speedup", ratio(self.geomean_mono(), self.geomean_scalar()));
         let mut doc = Json::obj();
         doc.set("accesses_per_replay", self.accesses_per_replay)
             .set("policies", policies)
@@ -233,8 +208,6 @@ pub struct PerfReport {
     pub app: String,
     /// Frame index.
     pub frame: u32,
-    /// Lanes interleaved by the lanes mode.
-    pub lanes: usize,
     /// One section per measured scale, in the order requested.
     pub scales: Vec<ScaleReport>,
 }
@@ -254,7 +227,6 @@ impl PerfReport {
             .set("app", self.app.clone())
             .set("frame", self.frame)
             .set("threads", 1u64)
-            .set("lanes", self.lanes as u64)
             .set("scales", scales);
         doc
     }
@@ -342,7 +314,7 @@ pub fn scale_name(scale: Scale) -> &'static str {
 }
 
 /// One replay of the cached frame through a freshly constructed policy,
-/// with the probe kernel pinned to `kind`. Used as the [`PolicyVisitor`]
+/// with the probe kind pinned to `kind`. Used as the [`PolicyVisitor`]
 /// for the scalar and mono measurements and called directly with a boxed
 /// policy for the boxed ones, so all three modes time byte-for-byte the
 /// same replay body.
@@ -373,32 +345,6 @@ impl PolicyVisitor for ReplayOnce<'_> {
     }
 }
 
-/// One [`grcache::replay_lanes`] pass: K freshly constructed cells of the
-/// same policy type interleaved over the cached frame. Returns the
-/// aggregate accesses served (frame length × lanes).
-struct ReplayLanes<'a> {
-    data: &'a FrameData,
-    needs_nu: bool,
-    llc_cfg: LlcConfig,
-    kind: ProbeKind,
-}
-
-impl PolicyLanesVisitor for ReplayLanes<'_> {
-    type Output = u64;
-    fn visit<P: Policy + 'static>(self, policies: Vec<P>) -> u64 {
-        let mut lanes: Vec<_> = policies
-            .into_iter()
-            .map(|p| {
-                let mut llc = Llc::new(self.llc_cfg, p);
-                llc.set_probe_kind(self.kind);
-                llc
-            })
-            .collect();
-        let nu = self.needs_nu.then(|| self.data.next_use().as_slice());
-        grcache::replay_lanes(&mut lanes, self.data.trace.accesses(), nu)
-    }
-}
-
 /// Running best-of accumulator for one mode across its interleaved
 /// windows. Each window replays for at least `window_secs`; the final
 /// figure is the fastest window's accesses/sec.
@@ -424,16 +370,14 @@ impl BestRate {
 ///
 /// # Panics
 ///
-/// Panics on unknown policy or application names, or `lanes == 0`.
+/// Panics on unknown policy or application names.
 pub fn run(opts: &PerfOptions, cfg: &ExperimentConfig) -> PerfReport {
-    assert!(opts.lanes > 0, "lanes mode needs at least one lane");
     let app = AppProfile::by_abbrev(&opts.app)
         .unwrap_or_else(|| panic!("unknown application {}", opts.app));
-    // The best kernel the host offers (or whatever GR_SIMD forces); the
-    // scalar mode pins ProbeKind::Scalar explicitly either way.
-    let kind = ProbeKind::from_env();
+    // The host's default kind; the scalar mode pins ProbeKind::Scalar.
+    let kind = ProbeKind::best_available();
     let scales = opts.scales.iter().map(|&scale| run_scale(opts, cfg, &app, scale, kind)).collect();
-    PerfReport { app: opts.app.clone(), frame: opts.frame, lanes: opts.lanes, scales }
+    PerfReport { app: opts.app.clone(), frame: opts.frame, scales }
 }
 
 fn run_scale(
@@ -473,33 +417,24 @@ fn run_scale(
                 registry::create(name, &llc_cfg).unwrap_or_else(|| panic!("unknown policy {name}"));
             ReplayOnce { data: &data, needs_nu, llc_cfg, kind }.run(policy)
         };
-        let mut lanes_once = || {
-            let visit = ReplayLanes { data: &data, needs_nu, llc_cfg, kind };
-            registry::with_policy_lanes(name, &llc_cfg, opts.lanes, visit)
-                .unwrap_or_else(|| panic!("unknown policy {name}"))
-        };
 
         scalar_once();
         mono_once();
         boxed_once();
-        lanes_once();
 
         let mut scalar = BestRate(0.0);
         let mut mono = BestRate(0.0);
         let mut boxed = BestRate(0.0);
-        let mut lanes = BestRate(0.0);
         for _ in 0..ROUNDS {
             scalar.window(window_secs, &mut scalar_once);
             mono.window(window_secs, &mut mono_once);
             boxed.window(window_secs, &mut boxed_once);
-            lanes.window(window_secs, &mut lanes_once);
         }
         rates.push(PolicyRate {
             name: name.clone(),
             scalar: scalar.0,
             mono: mono.0,
             boxed: boxed.0,
-            lanes: lanes.0,
         });
     }
 
@@ -528,25 +463,12 @@ mod tests {
         PerfReport {
             app: "BioShock".to_string(),
             frame: 0,
-            lanes: 4,
             scales: vec![ScaleReport {
                 scale: Scale::Tiny,
                 accesses_per_replay: 1000,
                 rates: vec![
-                    PolicyRate {
-                        name: "NRU".into(),
-                        scalar: 2e7,
-                        mono: 4e7,
-                        boxed: 2e7,
-                        lanes: 8e7,
-                    },
-                    PolicyRate {
-                        name: "SRRIP".into(),
-                        scalar: 5e6,
-                        mono: 1e7,
-                        boxed: 8e6,
-                        lanes: 2e7,
-                    },
+                    PolicyRate { name: "NRU".into(), scalar: 2e7, mono: 4e7, boxed: 2e7 },
+                    PolicyRate { name: "SRRIP".into(), scalar: 5e6, mono: 1e7, boxed: 8e6 },
                 ],
             }],
         }
@@ -563,7 +485,6 @@ mod tests {
     fn report_document_shape() {
         let doc = tiny_report().to_json("abc1234");
         assert_eq!(doc.get("git_rev").and_then(Json::as_str), Some("abc1234"));
-        assert_eq!(doc.get("lanes").and_then(Json::as_f64), Some(4.0));
         let tiny = doc.get("scales").and_then(|s| s.get("tiny")).expect("tiny scale");
         assert_eq!(tiny.get("accesses_per_replay").and_then(Json::as_f64), Some(1000.0));
         let nru = tiny.get("policies").and_then(|p| p.get("NRU")).expect("NRU entry");
@@ -571,7 +492,6 @@ mod tests {
         assert_eq!(nru.get("scalar_accesses_per_sec").and_then(Json::as_f64), Some(2e7));
         assert_eq!(nru.get("speedup").and_then(Json::as_f64), Some(2.0));
         assert_eq!(nru.get("simd_speedup").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(nru.get("lanes_speedup").and_then(Json::as_f64), Some(4.0));
         // geomean(4e7, 1e7) = 2e7, so NRU's normalized mono rate is 2.
         let norm = nru.get("normalized_mono").and_then(Json::as_f64).unwrap();
         assert!((norm - 2.0).abs() < 1e-9, "normalized {norm}");
@@ -600,7 +520,7 @@ mod tests {
     fn baseline_gate_catches_scalar_path_regression() {
         let baseline = tiny_report().to_json("abc1234");
         let mut slow = tiny_report();
-        // The GR_SIMD=0 reference path regresses while the batched path
+        // The per-access loop regresses while the batched path
         // stays healthy — the gate must still fire.
         slow.scales[0].rates[0].scalar = 5e6;
         let err = slow.check_against_baseline(&baseline, 0.25).expect_err("must regress");
@@ -617,25 +537,18 @@ mod tests {
             scalar: 1.0,
             mono: 1.0,
             boxed: 1.0,
-            lanes: 1.0,
         });
         extended.scales.push(ScaleReport {
             scale: Scale::Quarter,
             accesses_per_replay: 4000,
-            rates: vec![PolicyRate {
-                name: "NRU".into(),
-                scalar: 1.0,
-                mono: 1.0,
-                boxed: 1.0,
-                lanes: 1.0,
-            }],
+            rates: vec![PolicyRate { name: "NRU".into(), scalar: 1.0, mono: 1.0, boxed: 1.0 }],
         });
         // LRU and the quarter scale are absent from the baseline; their
         // (terrible) rates must not fail the gate.
         assert!(extended.check_against_baseline(&baseline, 0.25).is_ok());
     }
 
-    /// End-to-end smoke run: tiny frame, minimal timed loops, all four
+    /// End-to-end smoke run: tiny frame, minimal timed loops, all three
     /// modes producing positive rates.
     #[test]
     fn benchmark_produces_positive_rates() {
@@ -643,7 +556,6 @@ mod tests {
             policies: vec!["NRU".to_string()],
             min_secs: 0.02,
             scales: vec![Scale::Tiny],
-            lanes: 2,
             ..PerfOptions::default_sweep()
         };
         let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
@@ -656,6 +568,5 @@ mod tests {
         assert!(r.scalar > 0.0);
         assert!(r.mono > 0.0);
         assert!(r.boxed > 0.0);
-        assert!(r.lanes > 0.0);
     }
 }

@@ -93,12 +93,12 @@ pub struct RunOptions {
     /// access's sequence number. Defaults to the `GR_CHECK` environment
     /// variable.
     pub check: bool,
-    /// Force a specific probe kernel ([`grcache::ProbeKind`]) for every
-    /// replay instead of the process-wide `GR_SIMD` resolution. Results
-    /// are bit-identical across kernels — this exists so verification
-    /// sweeps can exercise the scalar and vector paths side by side in one
-    /// process. `None` keeps the default (`GR_SIMD`, else the widest
-    /// kernel the host supports).
+    /// Force a specific probe kind ([`grcache::ProbeKind`]) for every
+    /// replay instead of the host default. Results are bit-identical
+    /// across kinds — this exists so verification sweeps can run the
+    /// per-access loop ([`ProbeKind::Scalar`]) and the batched AVX2 driver
+    /// side by side in one process. `None` keeps the default
+    /// ([`ProbeKind::best_available`]).
     pub probe: Option<ProbeKind>,
 }
 

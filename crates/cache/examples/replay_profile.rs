@@ -6,9 +6,9 @@
 //!
 //! Times successively larger slices of the per-access work over the same
 //! synthetic trace — address mapping alone, mapping plus the packed-mirror
-//! probe, then the full retire loop under every available probe kernel —
-//! so the difference between consecutive lines is the cost of the added
-//! phase. The synthetic trace mixes a hot working set with streaming
+//! probe, then full replays under both probe kinds (the scalar per-access
+//! loop, and the batched AVX2 driver where the host has it) — so the
+//! difference between consecutive lines is the cost of the added phase. The synthetic trace mixes a hot working set with streaming
 //! conflict traffic, roughly the hit rate of a real frame.
 
 use std::hint::black_box;
@@ -160,19 +160,18 @@ fn main() {
         });
     }
 
-    for kind in ProbeKind::all_available() {
-        let label = format!("access loop [{kind:?}]");
-        time_loop(&label, n, || {
-            let mut llc = Llc::new(cfg, Nru);
-            llc.set_probe_kind(kind);
-            let mut hits = 0u64;
-            for a in trace.iter() {
-                if matches!(llc.access(a), grcache::AccessResult::Hit) {
-                    hits += 1;
-                }
+    // Single accesses always take the per-access loop, whatever the kind.
+    time_loop("access loop", n, || {
+        let mut llc = Llc::new(cfg, Nru);
+        let mut hits = 0u64;
+        for a in trace.iter() {
+            if matches!(llc.access(a), grcache::AccessResult::Hit) {
+                hits += 1;
             }
-            hits
-        });
+        }
+        hits
+    });
+    for kind in ProbeKind::all_available() {
         let label = format!("slice replay [{kind:?}]");
         time_loop(&label, n, || {
             let mut llc = Llc::new(cfg, Nru);

@@ -25,10 +25,15 @@
 //! up-front probes are exact unless an earlier access in the same batch
 //! filled the same set — the retire phase tracks in-batch fills and
 //! re-probes exactly those collided slots against the live mirror. The
-//! result is bit-identical to the sequential loop for every policy and
+//! result is bit-identical to the per-access loop for every policy and
 //! observer: same stats, same memory-log order, same characterization.
-//! `GR_SIMD=0` (or [`Llc::set_probe_kind`] with [`ProbeKind::Scalar`])
-//! selects the original unbatched per-access loop at runtime.
+//!
+//! The batched driver runs where the host has AVX2 ([`ProbeKind::Avx2`]).
+//! Everywhere else, and under [`Llc::set_probe_kind`] with
+//! [`ProbeKind::Scalar`], slice replays run the per-access loop: the same
+//! map, scalar probe and retire steps on one access at a time. Single
+//! accesses ([`Llc::access`]) always take that loop, so every hit, miss,
+//! bypass, eviction and fill rule lives in [`Llc::retire`] alone.
 
 use std::io;
 
@@ -119,7 +124,7 @@ pub struct Llc<P, O = NullObserver> {
     stats: LlcStats,
     seq: u64,
     /// Which tag-compare implementation services the probe, and whether
-    /// slice replays run the batched driver (`GR_SIMD`-selectable).
+    /// slice replays run the batched driver.
     probe_kind: ProbeKind,
 }
 
@@ -165,7 +170,7 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
             blocks: vec![Block::default(); cfg.total_blocks()],
             stats: LlcStats::new(),
             seq: 0,
-            probe_kind: ProbeKind::from_env(),
+            probe_kind: ProbeKind::best_available(),
         }
     }
 
@@ -192,9 +197,9 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     }
 
     /// Selects the probe implementation — and, with [`ProbeKind::Scalar`],
-    /// the original unbatched replay loop — overriding the process-wide
-    /// `GR_SIMD` default. Lets differential harnesses A/B the scalar and
-    /// vector paths inside one process.
+    /// the per-access replay loop — overriding the host default
+    /// ([`ProbeKind::best_available`]). Lets differential harnesses A/B the
+    /// per-access and batched paths inside one process.
     ///
     /// # Panics
     ///
@@ -248,9 +253,9 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     pub fn access_annotated(&mut self, access: &Access, next_use: u64) -> AccessResult {
         // The paper's LLC is 16-way in every configuration; routing the
         // dominant associativity through a const-generic body gives the
-        // probe and fill paths compile-time trip counts (full unroll, no
-        // bounds checks). The branch is on a loop-invariant field, so the
-        // predictor never misses it.
+        // probe and fill paths compile-time trip counts (full unroll). The
+        // branch is on a loop-invariant field, so the predictor never
+        // misses it.
         if self.cfg.ways == 16 {
             self.access_ways::<16>(access, next_use)
         } else {
@@ -258,155 +263,16 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         }
     }
 
-    /// The unbatched access body, specialized per associativity: `WAYS` is
-    /// the compile-time way count, or 0 for the generic any-associativity
-    /// instantiation.
-    ///
-    /// This is the pre-vectorization replay core, kept verbatim as the
-    /// single-access path and the `GR_SIMD=0` reference loop: one fused
-    /// map-probe-retire chain with the OR-folded scalar compare. The
-    /// batched driver ([`Llc::run_slice`]) runs the same logic split into
-    /// [`Llc::map_access`] / [`crate::probe::probe_batch`] /
-    /// [`Llc::retire`] phases; the grcheck invariant sweep and the crate's
-    /// differential tests hold the two bit-identical.
+    /// The per-access path, specialized per associativity: `WAYS` is the
+    /// compile-time way count, or 0 for the generic any-associativity
+    /// instantiation. Map, scalar probe and retire on one access.
     #[inline]
     fn access_ways<const WAYS: usize>(&mut self, access: &Access, next_use: u64) -> AccessResult {
-        let block = access.block();
-        let (bank, set, tag) = self.geo.map(block);
-        let info = AccessInfo {
-            seq: self.seq,
-            block,
-            bank,
-            set_in_bank: set,
-            stream: access.stream,
-            class: access.stream.policy_class(),
-            write: access.write,
-            is_sample: self.cfg.is_sample_set(set),
-            next_use,
-        };
-        self.seq += 1;
-
         let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
-        let set_idx = self.geo.set_index(bank, set);
-        let base = set_idx * ways;
-        // SAFETY invariant for the unchecked indexing below: `map` masks
-        // `set` into `[0, sets_per_bank)` and `bank` into `[0, banks)`, so
-        // `set_idx < total_sets == valid.len()` and `base + ways <=
-        // total_blocks == tags.len() == blocks.len()`. The bounds checks
-        // this elides sit on the hottest path in the repository.
-        debug_assert!(set_idx < self.valid.len());
-        debug_assert!(base + ways <= self.tags.len());
-
-        // Packed probe: the tag-match needs only the tag words, so the
-        // scan touches 8 bytes per way (two cache lines for a 16-way
-        // set). The compare is branchless — every way's equality bit is
-        // OR-folded into a match mask, which vectorizes and never
-        // mispredicts — and ANDing with the validity mask discards
-        // never-written tag words.
-        let vmask = unsafe { *self.valid.get_unchecked(set_idx) };
-        let hit_mask = {
-            let tags = unsafe { self.tags.get_unchecked(base..base + ways) };
-            let mut eq = 0u64;
-            for (i, &t) in tags.iter().enumerate() {
-                eq |= u64::from(t == tag) << i;
-            }
-            eq & vmask
-        };
-
-        if hit_mask != 0 {
-            let way = hit_mask.trailing_zeros() as usize;
-            self.stats.record_hit(info.stream);
-            let set_blocks = unsafe { self.blocks.get_unchecked_mut(base..base + ways) };
-            // SAFETY: `hit_mask` only carries equality bits below `ways`,
-            // so its lowest set bit indexes inside the set slice.
-            let hit_block = unsafe { set_blocks.get_unchecked_mut(way) };
-            hit_block.dirty |= info.write;
-            hit_block.next_use = next_use;
-            self.observer.observe_hit(&info, way);
-            self.policy.on_hit(&info, set_blocks, way);
-            if O::WANTS_SET_STATE {
-                self.observer.observe_set_state(
-                    &info,
-                    SetSnapshot {
-                        tags: &self.tags[base..base + ways],
-                        valid_mask: self.valid[set_idx],
-                        blocks: &self.blocks[base..base + ways],
-                        touched_way: way,
-                        hit: true,
-                    },
-                );
-            }
-            return AccessResult::Hit;
-        }
-
-        self.stats.record_miss(info.stream);
-
-        if self.policy.should_bypass(&info) {
-            if info.write {
-                self.stats.bypassed_writes += 1;
-            } else {
-                self.stats.bypassed_reads += 1;
-            }
-            self.observer.observe_bypass(&info);
-            return AccessResult::Bypass;
-        }
-
-        // Fill the first free way (one bit-scan of the inverted validity
-        // mask), else ask the policy for a victim.
-        let free = (!vmask).trailing_zeros() as usize;
-        // SAFETY: `base + ways <= blocks.len()` (see above).
-        let set_blocks = unsafe { self.blocks.get_unchecked_mut(base..base + ways) };
-        let mut dirty_eviction = false;
-        let way = if free < ways {
-            free
-        } else {
-            let victim = self.policy.choose_victim(&info, set_blocks);
-            assert!(victim < ways, "victim out of range");
-            self.policy.on_evict(&info, set_blocks, victim);
-            self.stats.evictions += 1;
-            dirty_eviction = set_blocks[victim].dirty;
-            if dirty_eviction {
-                self.stats.writebacks += 1;
-            }
-            // A writeback goes to the *victim's* address, rebuilt from
-            // its tag and the shared (bank, set); the rebuild is only
-            // paid when the attached observer declares it needs it.
-            let victim_block = if O::NEEDS_VICTIM_ADDR {
-                self.geo.unmap(bank, set, self.tags[base + victim])
-            } else {
-                0
-            };
-            self.observer.observe_evict(&info, victim, victim_block, dirty_eviction);
-            victim
-        };
-
-        // Install the block, let the policy initialize its state, then
-        // refresh the probe mirror — a fill is the only event that changes
-        // a way's tag or validity.
-        set_blocks[way] = Block { valid: true, dirty: info.write, meta: 0, next_use };
-        let fill = self.policy.on_fill(&info, set_blocks, way);
-        // SAFETY: `way < ways`, so `base + way` is in bounds; `set_idx <
-        // valid.len()` (see above). The victim arm is guarded by the
-        // `victim < ways` assert.
-        unsafe {
-            *self.tags.get_unchecked_mut(base + way) = tag;
-            *self.valid.get_unchecked_mut(set_idx) |= 1 << way;
-        }
-        self.stats.record_fill(info.class, fill.distant);
-        self.observer.observe_fill(&info, way);
-        if O::WANTS_SET_STATE {
-            self.observer.observe_set_state(
-                &info,
-                SetSnapshot {
-                    tags: &self.tags[base..base + ways],
-                    valid_mask: self.valid[set_idx],
-                    blocks: &self.blocks[base..base + ways],
-                    touched_way: way,
-                    hit: false,
-                },
-            );
-        }
-        AccessResult::Miss { dirty_eviction }
+        let mut slot = self.map_access(access, next_use, ways);
+        let base = slot.base as usize;
+        slot.hit_mask = probe::probe_scalar(&self.tags[base..base + ways], slot.tag) & slot.vmask;
+        self.retire::<WAYS>(&slot)
     }
 
     /// The map phase: decomposes one access into a probe [`Slot`]. Pure
@@ -434,10 +300,11 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     }
 
     /// The retire phase: consumes one probed [`Slot`] — statistics, policy
-    /// callbacks, observer events, and the fill's mirror rewrite, exactly
-    /// as the sequential loop orders them. The slot's `hit_mask` and
-    /// `vmask` must reflect the mirror as of this call (the batch driver
-    /// re-probes slots whose set was filled earlier in the batch).
+    /// callbacks, observer events, and the fill's mirror rewrite. This is
+    /// the only place the hit, miss, bypass, evict and fill rules live. The
+    /// slot's `hit_mask` and `vmask` must reflect the mirror as of this
+    /// call (the batch driver re-probes slots whose set was filled earlier
+    /// in the batch).
     #[inline(always)]
     fn retire<const WAYS: usize>(&mut self, slot: &Slot) -> AccessResult {
         let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
@@ -503,7 +370,7 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
             free
         } else {
             let victim = self.policy.choose_victim(&info, set_blocks);
-            debug_assert!(victim < ways, "victim out of range");
+            assert!(victim < ways, "victim out of range");
             self.policy.on_evict(&info, set_blocks, victim);
             self.stats.evictions += 1;
             dirty_eviction = set_blocks[victim].dirty;
@@ -567,14 +434,12 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         false
     }
 
-    /// Replays one access slice: the batched map-probe-retire driver when
-    /// the probe kind is vectorized, the original per-access loop under
-    /// [`ProbeKind::Scalar`]. Both retire in arrival order and are
-    /// bit-identical (see the module docs for the argument).
+    /// Replays one access slice: the batched map-probe-retire driver under
+    /// [`ProbeKind::Avx2`], the per-access loop under [`ProbeKind::Scalar`].
+    /// Both retire in arrival order and are bit-identical (see the module
+    /// docs for the argument).
     fn run_slice<const WAYS: usize>(&mut self, accesses: &[Access], next_uses: Option<&[u64]>) {
-        if !self.probe_kind.is_batched() {
-            // The pre-vectorization replay core, kept verbatim as the
-            // GR_SIMD=0 reference path: one dependent chain per access.
+        if self.probe_kind == ProbeKind::Scalar {
             match next_uses {
                 Some(nu) => {
                     for (a, &next) in accesses.iter().zip(nu) {
@@ -691,44 +556,6 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     pub fn into_observer(self) -> O {
         self.observer
     }
-}
-
-/// Replays the same access slice through several independent LLC cells,
-/// interleaved in fixed windows, and returns the aggregate access count
-/// (`accesses.len() × lanes.len()`).
-///
-/// Accesses to different *cells* are trivially independent — the
-/// experiment runner already replays policy×app cells separately — so
-/// interleaving K cells over the same trace windows hides each cell's
-/// dependent-load latency behind the others' work while the shared window
-/// of trace data stays hot in L1/L2. Every lane sees the full slice in
-/// order, so each cell's stats, memory log, and characterization are
-/// bit-identical to a solo replay of the same trace.
-///
-/// # Panics
-///
-/// Panics if `next_uses` is provided with a length different from
-/// `accesses`.
-pub fn replay_lanes<P: Policy, O: LlcObserver>(
-    lanes: &mut [Llc<P, O>],
-    accesses: &[Access],
-    next_uses: Option<&[u64]>,
-) -> u64 {
-    // Windows of 64 batches: long enough to amortize the per-lane switch,
-    // short enough that the window's accesses stay resident across lanes.
-    const WINDOW: usize = 64 * BATCH;
-    if let Some(nu) = next_uses {
-        assert_eq!(nu.len(), accesses.len(), "annotation length mismatch");
-    }
-    let mut start = 0usize;
-    while start < accesses.len() {
-        let end = (start + WINDOW).min(accesses.len());
-        for llc in lanes.iter_mut() {
-            llc.dispatch_slice(&accesses[start..end], next_uses.map(|nu| &nu[start..end]));
-        }
-        start = end;
-    }
-    accesses.len() as u64 * lanes.len() as u64
 }
 
 #[cfg(test)]
@@ -1051,20 +878,51 @@ mod tests {
         }
     }
 
-    /// Lane-interleaved replay leaves every cell bit-identical to a solo
-    /// replay and reports the aggregate access count.
-    #[test]
-    fn replay_lanes_matches_solo_replay() {
-        let t = conflict_trace(2_500);
-        let mut solo = small_llc().with_memory_log();
-        solo.run_trace(&t, None);
-        let mut lanes: Vec<_> = (0..3).map(|_| small_llc().with_memory_log()).collect();
-        let n = crate::replay_lanes(&mut lanes, t.accesses(), None);
-        assert_eq!(n, 2_500 * 3);
-        for lane in &lanes {
-            assert_eq!(lane.stats(), solo.stats());
-            assert_eq!(lane.memory_log(), solo.memory_log());
+    /// Names one way past the end of the set as its victim.
+    struct OutOfRangeVictim;
+    impl Policy for OutOfRangeVictim {
+        fn name(&self) -> &str {
+            "OUT-OF-RANGE"
         }
+        fn state_bits_per_block(&self) -> u32 {
+            0
+        }
+        fn on_hit(&mut self, _a: &AccessInfo, _s: &mut [Block], _w: usize) {}
+        fn choose_victim(&mut self, _a: &AccessInfo, set: &mut [Block]) -> usize {
+            set.len()
+        }
+        fn on_evict(&mut self, _a: &AccessInfo, _s: &mut [Block], way: usize) {
+            panic!("on_evict reached with way {way}");
+        }
+        fn on_fill(&mut self, _a: &AccessInfo, _s: &mut [Block], _w: usize) -> FillInfo {
+            FillInfo::default()
+        }
+    }
+
+    /// An out-of-range victim is caught before the policy's `on_evict`
+    /// sees it, in release builds too, on every path the host can run.
+    #[test]
+    #[should_panic(expected = "victim out of range")]
+    fn out_of_range_victim_panics_under_every_kind() {
+        let t = conflict_trace(64);
+        let replay = |kind| {
+            let mut llc = Llc::new(small_llc().config(), OutOfRangeVictim);
+            llc.set_probe_kind(kind);
+            llc.run_trace(&t, None);
+        };
+        let kinds = ProbeKind::all_available();
+        let (&last, rest) = kinds.split_last().expect("scalar is always available");
+        for &kind in rest {
+            let err = std::panic::catch_unwind(|| replay(kind))
+                .expect_err("an out-of-range victim must panic");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(msg.contains("victim out of range"), "{kind:?} panicked with {msg:?}");
+        }
+        replay(last);
     }
 
     #[test]

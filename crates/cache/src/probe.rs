@@ -1,115 +1,62 @@
-//! The vectorized tag probe over the packed LLC mirror.
+//! The tag probe over the packed LLC mirror.
 //!
-//! PR 3 laid the probe mirror out for SIMD — one `u64` tag word per way,
-//! one validity bitmask per set — but compared it scalar-wise. This module
-//! supplies the explicit-width lane compares: an AVX2 path (four tag words
-//! per compare, selected by runtime feature detection), an SSE2 path (two
-//! tag words per compare, unconditionally available on `x86_64`), and a
-//! manually unrolled 4×`u64` portable fallback for every other target. The
-//! scalar OR-folded loop survives as [`ProbeKind::Scalar`] so `GR_SIMD=0`
-//! can select the pre-vectorization replay core at runtime for A/B
-//! benchmarking and differential testing.
+//! The probe mirror holds one `u64` tag word per way and one validity
+//! bitmask per set, so a probe is a pure streaming compare. Two kinds
+//! service it:
 //!
-//! Every path computes the same function: bit `w` of the returned mask is
-//! set iff `tags[w] == tag`. Callers AND the result with the set's validity
-//! mask; the probe itself never consults it, which keeps the compare a pure
-//! streaming read of the mirror.
+//! * [`ProbeKind::Avx2`] — four tag words per `VPCMPEQQ`, run over a whole
+//!   batch by the batched replay driver ([`crate::Llc::run_source`]). It is
+//!   the default wherever runtime detection finds AVX2.
+//! * [`ProbeKind::Scalar`] — the OR-folded compare inside the per-access
+//!   loop. It is the default on every other host, the path single
+//!   accesses ([`crate::Llc::access`]) always take, and the reference the
+//!   differential tests pin.
 //!
-//! # `GR_SIMD`
-//!
-//! * `GR_SIMD=0` — the scalar per-access loop (probe *and* the unbatched
-//!   retire loop; see [`crate::Llc::run_source`]).
-//! * `GR_SIMD=portable` — force the 4×`u64` portable lanes.
-//! * `GR_SIMD=sse2` — force the 128-bit path (`x86_64` only).
-//! * unset / `GR_SIMD=1` — the widest available path (AVX2 where detected).
-//!
-//! The variable is read once per process and cached; tests that need both
-//! paths in one process select a kind programmatically via
-//! [`crate::Llc::set_probe_kind`].
-
-use std::sync::OnceLock;
+//! Both compute the same function: bit `w` of the returned mask is set iff
+//! `tags[w] == tag`. Callers AND the result with the set's validity mask;
+//! the probe itself never consults it. Tests and verification sweeps
+//! select a kind per instance with [`crate::Llc::set_probe_kind`].
 
 /// Which compare implementation services the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKind {
-    /// The scalar OR-folded loop — the pre-vectorization replay core,
-    /// selected by `GR_SIMD=0`. This kind also disables the batched
-    /// front-end in [`crate::Llc::run_source`].
+    /// The scalar OR-folded compare. This kind also selects the unbatched
+    /// per-access loop in [`crate::Llc::run_source`].
     Scalar,
-    /// Manually unrolled 4×`u64` lane compare — the portable fallback.
-    Portable,
-    /// 128-bit compares via `core::arch::x86_64` (baseline on `x86_64`,
-    /// no detection needed).
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
-    /// 256-bit compares; requires runtime AVX2 detection.
+    /// 256-bit compares over whole batches; requires runtime AVX2
+    /// detection.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
 impl ProbeKind {
-    /// The widest kind this host supports, ignoring `GR_SIMD`.
+    /// The default kind: [`ProbeKind::Avx2`] where the host supports it,
+    /// else [`ProbeKind::Scalar`].
     pub fn best_available() -> ProbeKind {
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                ProbeKind::Avx2
-            } else {
-                ProbeKind::Sse2
-            }
+        if is_x86_feature_detected!("avx2") {
+            return ProbeKind::Avx2;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            ProbeKind::Portable
-        }
+        ProbeKind::Scalar
     }
 
     /// `true` when this kind can run on the current host.
     pub fn is_available(self) -> bool {
         match self {
+            ProbeKind::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             ProbeKind::Avx2 => is_x86_feature_detected!("avx2"),
-            _ => true,
         }
     }
 
     /// Every kind the current host can run, scalar first.
     pub fn all_available() -> Vec<ProbeKind> {
-        let mut kinds = vec![ProbeKind::Scalar, ProbeKind::Portable];
+        let mut kinds = vec![ProbeKind::Scalar];
         #[cfg(target_arch = "x86_64")]
-        {
-            kinds.push(ProbeKind::Sse2);
-            if is_x86_feature_detected!("avx2") {
-                kinds.push(ProbeKind::Avx2);
-            }
+        if is_x86_feature_detected!("avx2") {
+            kinds.push(ProbeKind::Avx2);
         }
         kinds
-    }
-
-    /// `true` when this kind engages the batched front-end (everything but
-    /// [`ProbeKind::Scalar`]).
-    pub fn is_batched(self) -> bool {
-        self != ProbeKind::Scalar
-    }
-
-    /// The process-wide default: `GR_SIMD` consulted once, then cached.
-    pub fn from_env() -> ProbeKind {
-        static DEFAULT: OnceLock<ProbeKind> = OnceLock::new();
-        *DEFAULT.get_or_init(|| Self::parse_env(std::env::var("GR_SIMD").ok().as_deref()))
-    }
-
-    /// The kind a given `GR_SIMD` value selects (un-cached; [`from_env`]
-    /// is the cached front end). Unknown spellings select the default.
-    ///
-    /// [`from_env`]: ProbeKind::from_env
-    pub fn parse_env(value: Option<&str>) -> ProbeKind {
-        match value {
-            Some("0") => ProbeKind::Scalar,
-            Some("portable") => ProbeKind::Portable,
-            #[cfg(target_arch = "x86_64")]
-            Some("sse2") => ProbeKind::Sse2,
-            _ => ProbeKind::best_available(),
-        }
     }
 }
 
@@ -119,9 +66,6 @@ impl ProbeKind {
 pub fn probe_set(kind: ProbeKind, tags: &[u64], tag: u64) -> u64 {
     match kind {
         ProbeKind::Scalar => probe_scalar(tags, tag),
-        ProbeKind::Portable => probe_portable(tags, tag),
-        #[cfg(target_arch = "x86_64")]
-        ProbeKind::Sse2 => probe_sse2(tags, tag),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` is only constructed after runtime detection
         // (`best_available` / `is_available` / `set_probe_kind`'s assert).
@@ -129,8 +73,8 @@ pub fn probe_set(kind: ProbeKind, tags: &[u64], tag: u64) -> u64 {
     }
 }
 
-/// The scalar OR-folded compare — the exact loop the pre-vectorization
-/// replay core ran, kept as the `GR_SIMD=0` reference path.
+/// The scalar OR-folded compare: every way's equality bit folded into the
+/// match mask, branch-free.
 #[inline]
 pub fn probe_scalar(tags: &[u64], tag: u64) -> u64 {
     let mut eq = 0u64;
@@ -138,59 +82,6 @@ pub fn probe_scalar(tags: &[u64], tag: u64) -> u64 {
         eq |= u64::from(t == tag) << i;
     }
     eq
-}
-
-/// The portable lane compare: four `u64` equality bits per unrolled
-/// iteration, independent so the compiler can schedule them as one wide
-/// compare on any target.
-#[inline]
-pub fn probe_portable(tags: &[u64], tag: u64) -> u64 {
-    let mut eq = 0u64;
-    let mut i = 0;
-    while i + 4 <= tags.len() {
-        let e0 = u64::from(tags[i] == tag);
-        let e1 = u64::from(tags[i + 1] == tag);
-        let e2 = u64::from(tags[i + 2] == tag);
-        let e3 = u64::from(tags[i + 3] == tag);
-        eq |= (e0 | (e1 << 1) | (e2 << 2) | (e3 << 3)) << i;
-        i += 4;
-    }
-    while i < tags.len() {
-        eq |= u64::from(tags[i] == tag) << i;
-        i += 1;
-    }
-    eq
-}
-
-/// 128-bit lane compare. SSE2 is part of the `x86_64` baseline, so this
-/// needs no runtime detection and inlines into the caller.
-///
-/// SSE2 has no 64-bit integer compare; a `u64` lane is equal iff both of
-/// its 32-bit halves compare equal, so the 32-bit equality mask is ANDed
-/// with its within-lane swap before extracting one bit per 64-bit lane.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-pub fn probe_sse2(tags: &[u64], tag: u64) -> u64 {
-    use core::arch::x86_64::*;
-    // SAFETY: SSE2 is statically enabled on every x86_64 target; the
-    // unaligned loads stay within `tags` by the loop bound.
-    unsafe {
-        let needle = _mm_set1_epi64x(tag as i64);
-        let mut eq = 0u64;
-        let mut i = 0;
-        while i + 2 <= tags.len() {
-            let lanes = _mm_loadu_si128(tags.as_ptr().add(i).cast());
-            let eq32 = _mm_cmpeq_epi32(lanes, needle);
-            let swapped = _mm_shuffle_epi32(eq32, 0b10_11_00_01);
-            let eq64 = _mm_and_si128(eq32, swapped);
-            eq |= (_mm_movemask_pd(_mm_castsi128_pd(eq64)) as u64) << i;
-            i += 2;
-        }
-        if i < tags.len() {
-            eq |= u64::from(tags[i] == tag) << i;
-        }
-        eq
-    }
 }
 
 /// 256-bit lane compare: four tag words per `VPCMPEQQ`, one bit per lane
@@ -219,10 +110,11 @@ pub unsafe fn probe_avx2(tags: &[u64], tag: u64) -> u64 {
     eq
 }
 
-/// One slot of the batched front-end: the mapped coordinates of an access
-/// plus the probe's output. The map phase fills the coordinates, the probe
-/// phase fills `hit_mask` (already ANDed with `vmask`), and the retire
-/// phase consumes the slot in arrival order — see
+/// One mapped access: its coordinates plus the probe's output. The map
+/// phase fills the coordinates, the probe fills `hit_mask` (already ANDed
+/// with `vmask`), and the retire phase consumes the slot. The per-access
+/// loop runs the three phases on one slot at a time; the batched driver
+/// runs each over a whole batch and retires in arrival order — see
 /// [`crate::Llc::run_source`] for the ordering argument.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
@@ -280,10 +172,10 @@ pub(crate) fn probe_batch(kind: ProbeKind, mirror: &[u64], ways: usize, slots: &
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` is only constructed after runtime detection.
         ProbeKind::Avx2 => unsafe { probe_batch_avx2(mirror, ways, slots) },
-        _ => {
+        ProbeKind::Scalar => {
             for s in slots {
                 let base = s.base as usize;
-                s.hit_mask = probe_set(kind, &mirror[base..base + ways], s.tag) & s.vmask;
+                s.hit_mask = probe_scalar(&mirror[base..base + ways], s.tag) & s.vmask;
             }
         }
     }
@@ -380,8 +272,8 @@ mod tests {
 
     /// Every available kind computes the same match mask as the scalar
     /// reference on randomized, partially-valid mirrors — including
-    /// non-paper geometries (`ways != 16`) that exercise the unrolled
-    /// remainder lanes.
+    /// non-paper geometries (`ways != 16`) that exercise the AVX2
+    /// remainder loop.
     #[test]
     fn all_kinds_match_scalar_on_random_mirrors() {
         let mut rng = Rng(0x9E3779B97F4A7C15);
@@ -445,18 +337,5 @@ mod tests {
             assert_eq!(m, 0x5555_5555_5555_5555, "{kind:?}");
             assert_eq!(probe_set(kind, &tags, 9), 0, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn env_spellings() {
-        assert_eq!(ProbeKind::parse_env(Some("0")), ProbeKind::Scalar);
-        assert_eq!(ProbeKind::parse_env(Some("portable")), ProbeKind::Portable);
-        assert_eq!(ProbeKind::parse_env(None), ProbeKind::best_available());
-        assert_eq!(ProbeKind::parse_env(Some("1")), ProbeKind::best_available());
-        assert!(ProbeKind::parse_env(None).is_available());
-        assert!(!ProbeKind::Scalar.is_batched());
-        assert!(ProbeKind::Portable.is_batched());
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(ProbeKind::parse_env(Some("sse2")), ProbeKind::Sse2);
     }
 }

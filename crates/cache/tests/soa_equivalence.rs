@@ -8,9 +8,41 @@
 //! the same DRAM-bound transfer log on randomized access sequences, for
 //! policies that exercise every callback — including set-wide `meta`
 //! mutation in `choose_victim` (RRIP-style aging) and bypass decisions.
+//! Both replay paths are held to it: single accesses (the per-access loop)
+//! and a slice replay on the host's default kind (the batched driver where
+//! AVX2 is available).
 
-use grcache::{AccessInfo, AccessResult, Block, FillInfo, Llc, LlcConfig, Policy};
-use grtrace::{Access, StreamId};
+use grcache::{AccessInfo, AccessResult, Block, FillInfo, Llc, LlcConfig, LlcStats, Policy};
+use grtrace::{Access, PolicyClass, StreamId, Trace};
+
+/// Every counter [`LlcStats`] exposes, indexed by [`StreamId::index`] and
+/// [`PolicyClass::index`].
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Counts {
+    hits: [u64; 9],
+    misses: [u64; 9],
+    fills: [u64; 4],
+    distant_fills: [u64; 4],
+    bypassed_reads: u64,
+    bypassed_writes: u64,
+    writebacks: u64,
+    evictions: u64,
+}
+
+impl Counts {
+    fn of(stats: &LlcStats) -> Counts {
+        Counts {
+            hits: StreamId::ALL.map(|s| stats.hits(s)),
+            misses: StreamId::ALL.map(|s| stats.misses(s)),
+            fills: PolicyClass::ALL.map(|c| stats.fills(c)),
+            distant_fills: PolicyClass::ALL.map(|c| stats.distant_fills(c)),
+            bypassed_reads: stats.bypassed_reads,
+            bypassed_writes: stats.bypassed_writes,
+            writebacks: stats.writebacks,
+            evictions: stats.evictions,
+        }
+    }
+}
 
 /// The pre-SoA LLC algorithm over plain per-way storage: a linear probe
 /// over `(valid, tag)` pairs, first-invalid-way fill, policy callbacks on
@@ -22,6 +54,7 @@ struct ReferenceLlc<P> {
     blocks: Vec<Block>,
     tags: Vec<u64>,
     memory_log: Vec<(u64, bool)>,
+    counts: Counts,
     seq: u64,
 }
 
@@ -33,6 +66,7 @@ impl<P: Policy> ReferenceLlc<P> {
             blocks: vec![Block::default(); cfg.total_blocks()],
             tags: vec![0; cfg.total_blocks()],
             memory_log: Vec::new(),
+            counts: Counts::default(),
             seq: 0,
         }
     }
@@ -65,11 +99,18 @@ impl<P: Policy> ReferenceLlc<P> {
             set_blocks[way].dirty |= info.write;
             set_blocks[way].next_use = next_use;
             self.policy.on_hit(&info, set_blocks, way);
+            self.counts.hits[info.stream.index()] += 1;
             return AccessResult::Hit;
         }
+        self.counts.misses[info.stream.index()] += 1;
 
         if self.policy.should_bypass(&info) {
             self.memory_log.push((info.block, info.write));
+            if info.write {
+                self.counts.bypassed_writes += 1;
+            } else {
+                self.counts.bypassed_reads += 1;
+            }
             return AccessResult::Bypass;
         }
 
@@ -79,8 +120,10 @@ impl<P: Policy> ReferenceLlc<P> {
             None => {
                 let victim = self.policy.choose_victim(&info, set_blocks);
                 self.policy.on_evict(&info, set_blocks, victim);
+                self.counts.evictions += 1;
                 dirty_eviction = set_blocks[victim].dirty;
                 if dirty_eviction {
+                    self.counts.writebacks += 1;
                     self.memory_log.push((geo.unmap(bank, set, set_tags[victim]), true));
                 }
                 victim
@@ -89,7 +132,9 @@ impl<P: Policy> ReferenceLlc<P> {
 
         set_blocks[way] = Block { valid: true, dirty: info.write, meta: 0, next_use };
         set_tags[way] = tag;
-        self.policy.on_fill(&info, set_blocks, way);
+        let fill = self.policy.on_fill(&info, set_blocks, way);
+        self.counts.fills[info.class.index()] += 1;
+        self.counts.distant_fills[info.class.index()] += u64::from(fill.distant);
         self.memory_log.push((info.block, false));
         AccessResult::Miss { dirty_eviction }
     }
@@ -180,8 +225,10 @@ impl SplitMix64 {
 const STREAMS: [StreamId; 5] =
     [StreamId::Texture, StreamId::Z, StreamId::RenderTarget, StreamId::Vertex, StreamId::Display];
 
-/// Replays a randomized sequence through both models and checks every
-/// per-access outcome plus the full DRAM transfer logs.
+/// Replays a randomized sequence through the reference model, then through
+/// the production LLC twice — access by access, and as one slice replay
+/// on the default probe kind — and checks every per-access outcome, the
+/// statistics, the full DRAM transfer logs and the final policy state.
 fn check_equivalence<P: Policy + Clone + PartialEq + std::fmt::Debug>(
     cfg: LlcConfig,
     policy: P,
@@ -190,29 +237,49 @@ fn check_equivalence<P: Policy + Clone + PartialEq + std::fmt::Debug>(
     block_pool: u64,
 ) {
     let mut rng = SplitMix64(seed);
-    let mut soa = Llc::with_observer(cfg, policy.clone(), grcache::MemoryLog::new());
-    let mut aos = ReferenceLlc::new(cfg, policy);
-    for i in 0..accesses {
+    let mut trace = Trace::new("soa-equivalence", 0);
+    let mut next_uses = Vec::with_capacity(accesses);
+    for _ in 0..accesses {
         let addr = (rng.next() % block_pool) * 64;
         let stream = STREAMS[(rng.next() % STREAMS.len() as u64) as usize];
         let write = rng.next().is_multiple_of(4);
-        let access = if write { Access::store(addr, stream) } else { Access::load(addr, stream) };
-        // Synthetic next-use annotations: arbitrary but identical for both
-        // models, with a sprinkling of "never reused" sentinels.
-        let next_use = if rng.next().is_multiple_of(8) { u64::MAX } else { rng.next() % 10_000 };
-        let got = soa.access_annotated(&access, next_use);
-        let want = aos.access_annotated(&access, next_use);
+        trace.push(if write { Access::store(addr, stream) } else { Access::load(addr, stream) });
+        // Synthetic next-use annotations: arbitrary but identical for every
+        // model, with a sprinkling of "never reused" sentinels.
+        next_uses.push(if rng.next().is_multiple_of(8) { u64::MAX } else { rng.next() % 10_000 });
+    }
+
+    let mut aos = ReferenceLlc::new(cfg, policy.clone());
+    let mut soa = Llc::with_observer(cfg, policy.clone(), grcache::MemoryLog::new());
+    for (i, (access, &next_use)) in trace.iter().zip(&next_uses).enumerate() {
+        let got = soa.access_annotated(access, next_use);
+        let want = aos.access_annotated(access, next_use);
         assert_eq!(got, want, "outcome diverged at access {i} (seed {seed})");
     }
-    assert_eq!(
-        soa.memory_log().expect("memory log attached"),
-        &aos.memory_log[..],
-        "DRAM transfer logs diverged (seed {seed})"
-    );
-    let (stats, soa_policy) = soa.into_parts();
-    assert_eq!(soa_policy, aos.policy, "policy state diverged (seed {seed})");
-    assert!(stats.total_hits() > 0, "degenerate sequence: no hits (seed {seed})");
-    assert!(stats.evictions > 0, "degenerate sequence: no evictions (seed {seed})");
+
+    let mut slice = Llc::with_observer(cfg, policy, grcache::MemoryLog::new());
+    slice.run_trace(&trace, Some(&next_uses));
+    let kind = slice.probe_kind();
+
+    for (path, llc) in [("per-access", soa), ("slice", slice)] {
+        assert_eq!(
+            llc.memory_log().expect("memory log attached"),
+            &aos.memory_log[..],
+            "{path} ({kind:?}): DRAM transfer logs diverged (seed {seed})"
+        );
+        let (stats, llc_policy) = llc.into_parts();
+        assert_eq!(
+            Counts::of(&stats),
+            aos.counts,
+            "{path} ({kind:?}): stats diverged (seed {seed})"
+        );
+        assert_eq!(
+            llc_policy, aos.policy,
+            "{path} ({kind:?}): policy state diverged (seed {seed})"
+        );
+    }
+    assert!(aos.counts.hits.iter().sum::<u64>() > 0, "degenerate sequence: no hits (seed {seed})");
+    assert!(aos.counts.evictions > 0, "degenerate sequence: no evictions (seed {seed})");
 }
 
 fn small_cfg() -> LlcConfig {

@@ -15,9 +15,9 @@
 //!   GSPC-vs-baseline miss ratios).
 //! * `invariants` replays the workload through every registry policy
 //!   across the full checked/unchecked x mono/boxed matrix plus every
-//!   probe kernel the host supports (scalar, portable, SSE2, AVX2),
-//!   asserts bit-identical stats everywhere, and reports the
-//!   checked-replay overhead (budget: 3x).
+//!   probe kind the host supports (the scalar per-access loop, and the
+//!   batched AVX2 driver where detected), asserts bit-identical stats
+//!   everywhere, and reports the checked-replay overhead (budget: 3x).
 //!
 //! `conformance` and `invariants` honour `GR_SCALE` / `GR_FRAMES`.
 
@@ -132,7 +132,7 @@ fn run_conformance(args: &[String]) {
 }
 
 /// Replays every registry policy checked and unchecked, through both the
-/// monomorphized and boxed dispatch paths and under every probe kernel the
+/// monomorphized and boxed dispatch paths and under every probe kind the
 /// host supports, asserting identical stats everywhere and a bounded
 /// slowdown from the invariant observer.
 fn run_invariants() {
@@ -152,9 +152,9 @@ fn run_invariants() {
         let mut timings = [0.0f64; 2];
         let mut results = Vec::new();
         for check in [false, true] {
-            // The unchecked leg pins the scalar kernel so the probe sweep
-            // below compares every vector kernel against a scalar-produced
-            // reference; the checked leg keeps the default (`GR_SIMD`).
+            // The unchecked leg pins the per-access loop so the probe sweep
+            // below compares the batched driver against a scalar-produced
+            // reference; the checked leg keeps the host default.
             let probe = (!check).then_some(ProbeKind::Scalar);
             let r = run_workload(&base(boxed, check, probe), &cfg);
             timings[check as usize] = r.perf.replay_seconds;
@@ -185,7 +185,7 @@ fn run_invariants() {
             reference = Some(results.swap_remove(0));
         }
     }
-    // Probe-kernel sweep: every available kernel, through both dispatch
+    // Probe-kind sweep: every available kind, through both dispatch
     // paths, must reproduce the scalar reference bit for bit.
     let reference = reference.expect("mono sweep ran");
     for kind in ProbeKind::all_available() {
@@ -199,7 +199,7 @@ fn run_invariants() {
                     assert_eq!(
                         reference.get(p, &app).stats,
                         r.get(p, &app).stats,
-                        "{p}/{app}: {kind:?} probe kernel diverged from scalar (boxed={boxed})"
+                        "{p}/{app}: {kind:?} probe kind diverged from scalar (boxed={boxed})"
                     );
                 }
             }
@@ -227,7 +227,7 @@ fn run_invariants() {
 /// Frame-graph profile sweep: for every built-in profile, the streamed
 /// generator must emit exactly the materialized render, the `.gtrace`
 /// export must import back bit-identically, and frame-0 replay stats must
-/// agree across mono/boxed dispatch and every probe kernel the host
+/// agree across mono/boxed dispatch and every probe kind the host
 /// supports.
 fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
     use grbench::simulate_graph_cell;
@@ -286,7 +286,7 @@ fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
         }
         println!(
             "invariants[profile/{}]: stream == render ({} accesses), round trip identical, \
-             {} policies x {} kernels x mono/boxed identical",
+             {} policies x {} probe kinds x mono/boxed identical",
             profile.name,
             trace.len(),
             policies.len(),

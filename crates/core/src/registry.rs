@@ -270,20 +270,6 @@ pub trait PolicyVisitor {
     fn visit<P: Policy + 'static>(self, policy: P) -> Self::Output;
 }
 
-/// Receives a fleet of identically constructed concrete policies from
-/// [`with_policy_lanes`] — the lane-interleaved replay's counterpart to
-/// [`PolicyVisitor`]. One `visit` call gets all the lanes at once so the
-/// caller can build the K independent LLC cells with the policy callbacks
-/// still monomorphized into the replay loop.
-pub trait PolicyLanesVisitor {
-    /// What the visit produces (e.g. aggregate replay statistics).
-    type Output;
-
-    /// Called exactly once, with the freshly constructed policies
-    /// (`policies.len()` equals the requested lane count).
-    fn visit<P: Policy + 'static>(self, policies: Vec<P>) -> Self::Output;
-}
-
 /// The parameterized `"GSPZTC(t=N)"` spelling: `Some(t)` when `name` is a
 /// well-formed threshold sweep entry with a power-of-two `t`.
 fn parse_gspztc_threshold(name: &str) -> Option<u32> {
@@ -349,33 +335,6 @@ macro_rules! define_registry {
             let $cfg = cfg;
             match resolved.entry().name {
                 $($name => Some(visitor.visit($ctor)),)+
-                other => unreachable!("resolve() returned unregistered entry {other:?}"),
-            }
-        }
-
-        /// Builds `lanes` identical copies of the named policy and hands
-        /// them, still concretely typed, to `visitor` — the construction
-        /// side of the lane-interleaved replay
-        /// ([`grcache::replay_lanes`]). Same table and same name set as
-        /// [`with_policy`]; returns `None` for unknown names without
-        /// calling the visitor.
-        pub fn with_policy_lanes<V: PolicyLanesVisitor>(
-            name: &str,
-            cfg: &LlcConfig,
-            lanes: usize,
-            visitor: V,
-        ) -> Option<V::Output> {
-            let resolved = resolve(name)?;
-            if let Resolved::Gspztc { t, .. } = resolved {
-                return Some(
-                    visitor.visit((0..lanes).map(|_| Gspztc::with_threshold(cfg, t)).collect()),
-                );
-            }
-            let $cfg = cfg;
-            match resolved.entry().name {
-                $($name => {
-                    Some(visitor.visit((0..lanes).map(|_| $ctor).collect()))
-                })+
                 other => unreachable!("resolve() returned unregistered entry {other:?}"),
             }
         }
