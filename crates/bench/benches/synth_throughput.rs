@@ -1,36 +1,62 @@
-//! Microbenchmark: workload synthesis throughput.
+//! Microbenchmark: cold-frame synthesis and Belady annotation cost.
 //!
-//! Measures frame-trace generation (pipeline modeling plus render-cache
-//! filtering) and the offline next-use annotation pass that enables
-//! Belady's OPT. Plain `Instant`-based harness — the workspace builds
-//! offline with no benchmarking dependency.
+//! The shape of perfledger's `cold-frames` workload on one thread: frame 0
+//! of all 12 application profiles plus the 5 built-in frame-graph profiles
+//! at quarter scale. Each round synthesizes every frame (pipeline modeling
+//! plus render-cache filtering) and then runs the offline next-use
+//! annotation that enables Belady's OPT over every trace. Prints the median
+//! round's cost per LLC access for both. Plain `Instant`-based harness —
+//! the workspace builds offline with no benchmarking dependency.
+//!
+//! ```bash
+//! cargo bench -q -p grbench --bench synth_throughput
+//! ```
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use grcache::annotate_next_use;
-use grsynth::{AppProfile, Scale};
+use grsynth::{AppProfile, FrameRenderer, GraphRenderer, Scale, Trace, GRAPH_PROFILES};
+
+const ROUNDS: usize = 5;
+
+fn synthesize_all() -> Vec<Trace> {
+    let scale = Scale::Quarter;
+    let mut traces: Vec<Trace> =
+        AppProfile::all().iter().map(|app| FrameRenderer::new(app, 0, scale).render()).collect();
+    for p in GRAPH_PROFILES {
+        traces.push(GraphRenderer::new(&p.graph(), 0, scale).render());
+    }
+    traces
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
 
 fn main() {
-    let app = AppProfile::by_abbrev("AssnCreed").expect("known app");
-    let iters = 5u32;
+    let mut synth_s = Vec::new();
+    let mut annotate_s = Vec::new();
+    let mut accesses = 0usize;
+    let mut frames = 0usize;
+    for _ in 0..ROUNDS {
+        let started = Instant::now();
+        let traces = black_box(synthesize_all());
+        synth_s.push(started.elapsed().as_secs_f64());
 
-    let mut len = 0usize;
-    let started = Instant::now();
-    for _ in 0..iters {
-        len = grsynth::generate_frame(&app, 0, Scale::Tiny).len();
+        let started = Instant::now();
+        for t in &traces {
+            black_box(annotate_next_use(black_box(t.accesses())));
+        }
+        annotate_s.push(started.elapsed().as_secs_f64());
+        accesses = traces.iter().map(Trace::len).sum();
+        frames = traces.len();
     }
-    let secs = started.elapsed().as_secs_f64();
+    let ns = |s: f64| 1e9 * s / accesses as f64;
     println!(
-        "synth/generate_frame_tiny: {:.2} ms/frame ({len} accesses)",
-        1e3 * secs / f64::from(iters)
+        "synth/cold_frames_quarter: {:.1} ns per LLC access ({frames} frames, {accesses} accesses, median of {ROUNDS})",
+        ns(median(synth_s))
     );
-
-    let trace = grsynth::generate_frame(&app, 0, Scale::Tiny);
-    let started = Instant::now();
-    for _ in 0..iters {
-        len = annotate_next_use(trace.accesses()).len();
-    }
-    let secs = started.elapsed().as_secs_f64();
-    let rate = len as f64 * f64::from(iters) / secs;
-    println!("optgen/annotate_next_use: {rate:.0} accesses/s");
+    println!("optgen/annotate_next_use: {:.1} ns per access", ns(median(annotate_s)));
 }

@@ -19,16 +19,25 @@ pub enum Lookup {
     },
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    /// Lower is more recently used.
-    age: u8,
-}
+/// Tag of an invalid way. Lanes past a set's fill count hold it (and
+/// [`INVALID_AGE`]), so whole-set scans need no validity mask.
+const INVALID_TAG: u64 = u64::MAX;
+
+/// Age of an invalid way: never below a valid age, never incremented.
+const INVALID_AGE: u8 = u8::MAX;
+
+/// Lanes compared per step of a set scan; each set's storage is padded to
+/// a multiple of it.
+const LANES: usize = 8;
 
 /// Write-back, write-allocate, true-LRU set-associative cache.
+///
+/// Storage is struct-of-arrays: per way a tag, an age (0 is most recently
+/// used) and a dirty bit, plus a per-set fill count. A fill takes the first
+/// invalid way and nothing invalidates a line, so the valid ways of a set
+/// are always a prefix of it, and the ages of that prefix are a permutation
+/// of `0..filled`. A probe therefore compares [`LANES`] tags at a time into
+/// a bitmask, and the LRU victim of a full set is the way aged `ways - 1`.
 ///
 /// # Example
 ///
@@ -42,15 +51,60 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct LruCache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// Ways of storage per set: `ways` rounded up to a multiple of [`LANES`].
+    stride: usize,
+    set_mask: u64,
+    set_bits: u32,
+    tags: Vec<u64>,
+    ages: Vec<u8>,
+    dirty: Vec<bool>,
+    /// Valid ways per set; they occupy the set's first `filled` ways.
+    filled: Vec<u8>,
     hits: u64,
     misses: u64,
 }
 
+/// Index of the first lane of `lanes` (a multiple of [`LANES`] long) equal
+/// to `x`, or `lanes.len()` if none is.
+#[inline]
+fn first_eq<T: Copy + PartialEq>(lanes: &[T], x: T) -> usize {
+    for (c, chunk) in lanes.chunks_exact(LANES).enumerate() {
+        let mut mask = 0u32;
+        for (i, &v) in chunk.iter().enumerate() {
+            mask |= u32::from(v == x) << i;
+        }
+        if mask != 0 {
+            return c * LANES + mask.trailing_zeros() as usize;
+        }
+    }
+    lanes.len()
+}
+
 impl LruCache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set count is not a power of two (the set index is a
+    /// mask of the block address) or the associativity is outside
+    /// `1..=255` (ages are `u8`).
     pub fn new(cfg: CacheConfig) -> Self {
-        LruCache { cfg, lines: vec![Line::default(); cfg.blocks()], hits: 0, misses: 0 }
+        let sets = cfg.sets();
+        assert!(sets.is_power_of_two(), "set count must be a power of two, got {sets}");
+        assert!((1..=255).contains(&cfg.ways), "ways must be in 1..=255, got {}", cfg.ways);
+        let stride = cfg.ways.next_multiple_of(LANES);
+        LruCache {
+            cfg,
+            stride,
+            set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
+            tags: vec![INVALID_TAG; sets * stride],
+            ages: vec![INVALID_AGE; sets * stride],
+            dirty: vec![false; sets * stride],
+            filled: vec![0; sets],
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// The cache geometry.
@@ -71,64 +125,64 @@ impl LruCache {
     /// Looks up `block`; on a miss the block is filled (write-allocate).
     /// Stores mark the block dirty; displacing a dirty block reports a
     /// writeback.
+    #[inline]
     pub fn access(&mut self, block: u64, write: bool) -> Lookup {
-        let (set, tag) = self.cfg.map(block);
-        let ways = self.cfg.ways;
-        let base = set * ways;
-        let set_lines = &mut self.lines[base..base + ways];
+        let set = (block & self.set_mask) as usize;
+        let tag = block >> self.set_bits;
+        let base = set * self.stride;
+        let filled = usize::from(self.filled[set]);
+        let tags = &mut self.tags[base..base + self.stride];
+        let ages = &mut self.ages[base..base + self.stride];
+        let dirty = &mut self.dirty[base..base + self.stride];
 
-        // Probe.
-        if let Some(hit_way) = set_lines.iter().position(|l| l.valid && l.tag == tag) {
-            let old_age = set_lines[hit_way].age;
-            for l in set_lines.iter_mut() {
-                if l.valid && l.age < old_age {
-                    l.age += 1;
-                }
+        // Probe. Invalid lanes hold INVALID_TAG, so a match past the
+        // valid prefix only means `tag` itself is INVALID_TAG: a miss.
+        let way = first_eq(tags, tag);
+        if way < filled {
+            let old_age = ages[way];
+            for a in ages.iter_mut() {
+                *a += u8::from(*a < old_age);
             }
-            set_lines[hit_way].age = 0;
-            set_lines[hit_way].dirty |= write;
+            ages[way] = 0;
+            dirty[way] |= write;
             self.hits += 1;
             return Lookup::Hit;
         }
 
-        // Miss: pick an invalid way, else the LRU (max age) way.
+        // Miss: the first invalid way, else the LRU way.
         self.misses += 1;
-        let victim = set_lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set_lines
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, l)| l.age)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
-        });
-        // The victim's address is reconstructed through the same
-        // map/unmap pair the LLC's writeback path uses, so the stored tag
-        // and the set index always recompose to the original block.
-        let writeback = if set_lines[victim].valid && set_lines[victim].dirty {
-            Some(self.cfg.unmap(set, set_lines[victim].tag))
+        let ways = self.cfg.ways;
+        let victim = if filled < ways {
+            self.filled[set] += 1;
+            filled
         } else {
-            None
+            first_eq(ages, (ways - 1) as u8)
         };
-        for l in set_lines.iter_mut() {
-            if l.valid {
-                l.age = l.age.saturating_add(1);
-            }
+        debug_assert!(victim < ways, "full set without an LRU way");
+        // Invalid ways are never dirty. The victim's address inverts the
+        // set/tag split above, as [`CacheConfig::unmap`] does.
+        let writeback = dirty[victim].then(|| (tags[victim] << self.set_bits) | set as u64);
+        for a in ages.iter_mut() {
+            *a = a.saturating_add(1);
         }
-        set_lines[victim] = Line { valid: true, dirty: write, tag, age: 0 };
+        tags[victim] = tag;
+        ages[victim] = 0;
+        dirty[victim] = write;
         Lookup::Miss { writeback }
     }
 
-    /// Drains every dirty block, returning their block addresses. Used at
-    /// end-of-frame to flush pending writebacks into the LLC trace.
+    /// Drains every dirty block, returning their block addresses in set
+    /// order, then way order. Used at end-of-frame to flush pending
+    /// writebacks into the LLC trace.
     pub fn flush_dirty(&mut self) -> Vec<u64> {
-        let ways = self.cfg.ways;
-        let cfg = self.cfg;
         let mut out = Vec::new();
-        for set in 0..cfg.sets() {
-            for l in &mut self.lines[set * ways..(set + 1) * ways] {
-                if l.valid && l.dirty {
-                    out.push(cfg.unmap(set, l.tag));
-                    l.dirty = false;
+        for (set, &filled) in self.filled.iter().enumerate() {
+            let base = set * self.stride;
+            let valid = base..base + usize::from(filled);
+            for (d, &tag) in self.dirty[valid.clone()].iter_mut().zip(&self.tags[valid]) {
+                if *d {
+                    out.push((tag << self.set_bits) | set as u64);
+                    *d = false;
                 }
             }
         }
@@ -238,6 +292,19 @@ mod tests {
         for wb in flushed {
             assert!(written.contains(&wb), "flush of never-written block {wb}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // A struct literal bypasses `CacheConfig::kb`'s check: 3 sets.
+        LruCache::new(CacheConfig { size_bytes: 3 * 2 * 64, ways: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be in 1..=255")]
+    fn more_than_255_ways_panics() {
+        LruCache::new(CacheConfig { size_bytes: 256 * 64, ways: 256 });
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! 5. *present* reads the final back buffer and writes the displayable
 //!    color stream to the front buffer.
 
+use std::collections::VecDeque;
+
 use grcache::RenderCaches;
 use grtrace::{Access, StreamId, Trace};
 
@@ -78,7 +80,7 @@ pub struct FrameRenderer<'a> {
     /// Rolling cursor through the scratch surface's blocks.
     scratch_cursor: u64,
     constants: Surface,
-    tex_history: Vec<u64>,
+    tex_history: VecDeque<u64>,
     tex_walk: u64,
     work: FrameWork,
     /// `[min, max)` revisit distance (in history entries) for the
@@ -153,7 +155,7 @@ impl<'a> FrameRenderer<'a> {
             scratch,
             scratch_cursor: 0,
             constants,
-            tex_history: Vec::new(),
+            tex_history: VecDeque::new(),
             // Consecutive frames see mostly the same materials, shifted by
             // camera motion: the walk starts where the previous frame's
             // drift would have carried it.
@@ -325,7 +327,7 @@ impl<'a> FrameRenderer<'a> {
             // 0.73 even under Belady's optimal), so take it out of the
             // history once consumed.
             let idx = self.tex_history.len() - 1 - d;
-            self.tex_history.swap_remove(idx)
+            self.tex_history.swap_remove_back(idx).expect("index inside the history")
         } else if roll < self.profile.tex_revisit + 0.04 && !self.tex_history.is_empty() {
             // Occasional long-range revisit (usually cold by now).
             let k = zipf_rank(&mut self.rng, self.tex_history.len());
@@ -346,9 +348,9 @@ impl<'a> FrameRenderer<'a> {
         };
         if !medium_revisit {
             if self.tex_history.len() == TEX_HISTORY {
-                self.tex_history.remove(0);
+                self.tex_history.pop_front();
             }
-            self.tex_history.push(region_base);
+            self.tex_history.push_back(region_base);
         }
         // Half the footprint walks a deterministic prefix of the region
         // (the blocks every visitor of this material touches — the top mip
