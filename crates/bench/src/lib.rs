@@ -27,7 +27,7 @@
 //! so figure output is byte-identical for any thread count. Frames are
 //! synthesized once per process in the shared [`framecache`];
 //! `GR_TRACE_CACHE=<dir>` adds an on-disk tier that survives across
-//! processes. `examples/perf_compare.rs` measures the effect.
+//! processes.
 
 pub mod cli;
 pub mod config;
@@ -35,7 +35,6 @@ pub mod experiments;
 pub mod figures;
 pub mod framecache;
 pub mod json;
-pub mod perfbench;
 pub mod runner;
 pub mod table;
 

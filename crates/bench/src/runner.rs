@@ -81,9 +81,9 @@ pub struct RunOptions {
     /// Construct policies through the boxed [`registry::create`] fallback
     /// instead of the monomorphized [`registry::with_policy`] visitor.
     /// Results are bit-identical either way; the boxed path pays a virtual
-    /// call per policy event and exists as the dynamic-dispatch reference
-    /// the benchmark harness measures against. Defaults to the `GR_BOXED`
-    /// environment variable.
+    /// call per policy event. The determinism tests and `grcheck
+    /// invariants` run it as a dynamic-dispatch cross-check; no benchmark
+    /// times it. Defaults to the `GR_BOXED` environment variable.
     pub boxed: bool,
     /// Attach the structural-invariant checker
     /// ([`grcache::InvariantObserver`]) to every replay: mirror/Block

@@ -11,7 +11,7 @@
 //!   miss-ratio ceilings.
 //! * **grserved** validates job specs through [`resolve`] and lists the
 //!   full vocabulary (including [`PARAMETERIZED`] families) from the table.
-//! * **grbench** derives its perfbench sweep and figure policy sets from
+//! * **grbench** derives its figure policy sets from
 //!   [`PolicyMeta::groups`], and gates `.nu` annotation attachment on
 //!   [`needs_next_use`].
 //!
@@ -76,7 +76,7 @@ pub struct Conformance {
 /// Per-policy metadata consumed by the check, serve, and bench layers.
 ///
 /// Built with a `const` chain so a table row stays one expression:
-/// `PolicyMeta::new().oracle("drrip-2").panel().groups(&[GROUP_PERF])`.
+/// `PolicyMeta::new().oracle("nru").panel().groups(&[GROUP_FIG12])`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyMeta {
     /// The policy requires Belady next-use annotations
@@ -89,7 +89,7 @@ pub struct PolicyMeta {
     pub conformance: Conformance,
     /// Include in the differential fuzz campaign's default policy set.
     pub fuzz: bool,
-    /// Bench/experiment groupings (see [`GROUP_PERF`], [`GROUP_FIG12`]);
+    /// Bench/experiment groupings (see [`GROUP_FIG12`]);
     /// group members keep table order.
     pub groups: &'static [&'static str],
 }
@@ -341,8 +341,6 @@ macro_rules! define_registry {
     };
 }
 
-/// Group of policies timed by the perfbench default sweep.
-pub const GROUP_PERF: &str = "perf";
 /// Group of policies plotted by Figures 12/13 (normalized to DRRIP).
 pub const GROUP_FIG12: &str = "fig12";
 
@@ -361,7 +359,6 @@ define_registry! { cfg;
         "DRRIP" | "DRRIP-2" => "Dynamic re-reference interval prediction",
         Drrip::new(2),
         PolicyMeta::new().oracle("drrip-2").panel().goldens(DRRIP_TINY_GOLDENS)
-            .groups(&[GROUP_PERF])
     },
     {
         "DRRIP-4" => "Four-bit DRRIP (iso-overhead study)",
@@ -371,12 +368,12 @@ define_registry! { cfg;
     {
         "SRRIP" | "SRRIP-2" => "Static re-reference interval prediction",
         Srrip::new(2),
-        PolicyMeta::new().oracle("srrip-2").panel().groups(&[GROUP_PERF])
+        PolicyMeta::new().oracle("srrip-2").panel()
     },
     {
         "NRU" => "Single-bit not-recently-used",
         Nru::new(),
-        PolicyMeta::new().oracle("nru").panel().groups(&[GROUP_PERF, GROUP_FIG12])
+        PolicyMeta::new().oracle("nru").panel().groups(&[GROUP_FIG12])
     },
     {
         "LRU" => "True least-recently-used",
@@ -413,13 +410,13 @@ define_registry! { cfg;
         Gspc::new(cfg),
         PolicyMeta::new().oracle("gspc").panel()
             .ceilings(&[("DRRIP", 1.00), ("SRRIP", 1.00)])
-            .groups(&[GROUP_PERF, GROUP_FIG12])
+            .groups(&[GROUP_FIG12])
     },
     {
         "GSPC+UCD" => "GSPC with uncached displayable color",
         Ucd::new(Gspc::new(cfg)),
         PolicyMeta::new().oracle("gspc+ucd").panel().ceilings(&[("DRRIP", 1.00)])
-            .groups(&[GROUP_PERF, GROUP_FIG12])
+            .groups(&[GROUP_FIG12])
     },
     {
         "DRRIP+UCD" => "DRRIP with uncached displayable color",
@@ -439,14 +436,13 @@ define_registry! { cfg;
     {
         "OPT" => "Belady's optimal (offline oracle)",
         Belady::new(),
-        PolicyMeta::new().oracle("opt").annotated().panel().groups(&[GROUP_PERF])
+        PolicyMeta::new().oracle("opt").annotated().panel()
     },
     {
         "GOPT" => "OPT-trained region predictor (learns Belady decisions per region)",
         Gopt::new(cfg),
         PolicyMeta::new().oracle("gopt").annotated().panel()
             .ceilings(&[("SRRIP", 1.00)])
-            .groups(&[GROUP_PERF])
     },
     {
         "DIP" => "Dynamic insertion policy (LRU/BIP dueling)",
@@ -800,17 +796,11 @@ mod tests {
         }
     }
 
-    /// The bench groups drive real consumers: the perfbench sweep and the
-    /// Figure 12 policy set. Their membership is pinned here so an
-    /// accidental group edit fails loudly rather than silently changing
-    /// what CI measures.
+    /// The bench groups drive real consumers: the Figure 12 policy set.
+    /// Its membership is pinned here so an accidental group edit fails
+    /// loudly rather than silently changing what the figures plot.
     #[test]
     fn bench_groups_match_their_consumers() {
-        assert_eq!(
-            group_names(GROUP_PERF),
-            ["DRRIP", "SRRIP", "NRU", "GSPC", "GSPC+UCD", "OPT", "GOPT"],
-            "perfbench sweep membership changed"
-        );
         assert_eq!(
             group_names(GROUP_FIG12),
             [

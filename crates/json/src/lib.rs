@@ -3,12 +3,11 @@
 //!
 //! The workspace builds offline, so it carries its own serializer instead
 //! of depending on `serde_json`. Object keys keep their insertion order,
-//! which makes exported `BENCH_*.json` files diffable across runs and
-//! thread counts, and makes the `grserve` daemon's responses byte-stable
-//! for content-addressed caching. The companion [`Json::parse`] reads the
-//! same documents back — the benchmark regression gate uses it to load the
-//! committed `BENCH_baseline.json`, and the serving layer uses it to
-//! decode request bodies.
+//! which makes exported JSON diffable across runs and thread counts, and
+//! makes the `grserve` daemon's responses byte-stable for
+//! content-addressed caching. The companion [`Json::parse`] reads the
+//! same documents back — the serving layer uses it to decode request
+//! bodies and job specs.
 //!
 //! Historically this lived at `grbench::json`; that path remains as a
 //! re-export for existing callers.

@@ -1,10 +1,7 @@
-//! `grload` — load generator and end-to-end smoke test for `grserved`.
+//! `grload` — end-to-end smoke test for `grserved`.
 //!
 //! ```text
 //! grload smoke (--spawn PATH | --url HOST:PORT) [--metrics-out FILE]
-//! grload bench (--spawn PATH | --url HOST:PORT)
-//!              [--connections N] [--rates R1,R2,...] [--duration-ms N]
-//!              [--label NAME] [--out FILE] [--baseline FILE] [--tolerance F]
 //! ```
 //!
 //! `smoke` drives a daemon through the full acceptance checklist:
@@ -20,43 +17,24 @@
 //! 5. SIGTERM the daemon mid-flight and verify the drain: accepted jobs
 //!    complete, new submissions get 503, the process exits 0 — and a
 //!    final `/metrics` snapshot is written for CI artifacts.
-//!
-//! `bench` is an **open-loop** sustained load generator: it establishes
-//! `--connections` keep-alive connections (one epoll client thread, the
-//! mirror image of the server's event loop), then for each offered rate
-//! sends requests on a fixed schedule, round-robin across connections,
-//! regardless of how fast responses come back. Latency is measured from
-//! the *scheduled* send time, so queueing delay under overload is part of
-//! the number — closed-loop generators hide exactly that. Each rate
-//! yields one saturation-curve point (offered vs achieved throughput,
-//! p50/p95/p99/max); `--out` merges the curve into a JSON report under
-//! `--label`, and `--baseline` + `--tolerance` gate normalized efficiency
-//! (achieved/offered) against a committed baseline, exiting nonzero on
-//! regression — the same shape as `grbench perf`.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use grbench::{cli, RunOptions};
 use grjson::Json;
-use grserve::poll::{self, Epoll, EPOLLIN, EPOLLOUT};
 use grserve::JobSpec;
 use grsynth::Scale;
 
-const USAGE: &str = "grload smoke (--spawn PATH | --url HOST:PORT) [--metrics-out FILE]\n\
-       grload bench (--spawn PATH | --url HOST:PORT) [--connections N] \
-[--rates R1,R2,...] [--duration-ms N] [--label NAME] [--out FILE] [--baseline FILE] [--tolerance F]";
+const USAGE: &str = "grload smoke (--spawn PATH | --url HOST:PORT) [--metrics-out FILE]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("smoke") => smoke(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         _ => cli::usage_error(USAGE),
     }
 }
@@ -409,537 +387,4 @@ fn terminate(daemon: &Daemon) {
             http(&daemon.addr, "POST", "/v1/shutdown", Some("")).expect("shutdown request");
         check(status == 200, "http shutdown accepted");
     }
-}
-
-// ------------------------------------------------------------------ benchmark
-
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// One keep-alive connection of the open-loop generator.
-struct BenchConn {
-    stream: TcpStream,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Scheduled send times of requests awaiting a response (FIFO —
-    /// pipelined responses come back in request order).
-    inflight: VecDeque<Instant>,
-    inbuf: Vec<u8>,
-    /// Current epoll interest.
-    registered: u32,
-    dead: bool,
-}
-
-/// Tries to pop one complete HTTP response off the front of `data`,
-/// returning (status, consumed bytes).
-fn parse_response(data: &[u8]) -> Option<(u16, usize)> {
-    let head_end = data.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&data[..head_end]).ok()?;
-    let status: u16 = head.lines().next()?.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    for line in head.lines().skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok()?;
-            }
-        }
-    }
-    let total = head_end + 4 + content_length;
-    if data.len() < total {
-        return None;
-    }
-    Some((status, total))
-}
-
-/// One saturation-curve point.
-struct BenchPoint {
-    offered_rps: f64,
-    achieved_rps: f64,
-    p50: Duration,
-    p95: Duration,
-    p99: Duration,
-    max: Duration,
-    completed: usize,
-    errors: usize,
-}
-
-fn bench(argv_tail: &[String]) {
-    let mut url: Option<String> = None;
-    let mut spawn_path: Option<String> = None;
-    let mut connections = 256usize;
-    let mut rates: Vec<f64> = vec![250.0, 500.0, 1000.0, 2000.0, 4000.0];
-    let mut duration = Duration::from_millis(2000);
-    let mut label = "single".to_string();
-    let mut out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
-
-    let mut argv = argv_tail.iter();
-    while let Some(arg) = argv.next() {
-        let mut value = || match argv.next() {
-            Some(v) => v.clone(),
-            None => cli::usage_error(USAGE),
-        };
-        match arg.as_str() {
-            "--url" => url = Some(value()),
-            "--spawn" => spawn_path = Some(value()),
-            "--connections" => {
-                connections = value().parse().unwrap_or_else(|_| cli::usage_error(USAGE));
-            }
-            "--rates" => {
-                rates = value()
-                    .split(',')
-                    .map(|r| r.trim().parse().unwrap_or_else(|_| cli::usage_error(USAGE)))
-                    .collect();
-            }
-            "--duration-ms" => {
-                duration = Duration::from_millis(
-                    value().parse().unwrap_or_else(|_| cli::usage_error(USAGE)),
-                );
-            }
-            "--label" => label = value(),
-            "--out" => out = Some(PathBuf::from(value())),
-            "--baseline" => baseline = Some(PathBuf::from(value())),
-            "--tolerance" => {
-                tolerance = value().parse().unwrap_or_else(|_| cli::usage_error(USAGE));
-            }
-            _ => cli::usage_error(USAGE),
-        }
-    }
-    if connections == 0 || rates.is_empty() {
-        cli::user_error("--connections and --rates must be positive");
-    }
-
-    // Spawn the target daemon if asked.
-    let spawned = match (&spawn_path, &url) {
-        (Some(binary), None) => Some(spawn_daemon(
-            binary,
-            &args(&[
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "2",
-                "--queue-cap",
-                "64",
-                "--linger-ms",
-                "4000",
-                "--allow-http-shutdown",
-            ]),
-        )),
-        (None, Some(_)) => None,
-        _ => cli::usage_error(USAGE),
-    };
-    let addr = spawned.as_ref().map_or_else(|| url.clone().expect("url"), |d| d.addr.clone());
-
-    // Warm the result cache once so the loop measures the serving path,
-    // not replay throughput.
-    let body = r#"{"policies": ["NRU"], "apps": ["HAWX"], "scale": "tiny"}"#;
-    let (_, doc, _) = submit(&addr, body);
-    if let Some(id) = doc.get("id").and_then(Json::as_str) {
-        await_done(&addr, id);
-    }
-    let request = format!(
-        "POST /v1/jobs HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Content-Type: application/json\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes();
-
-    // Establish the keep-alive connections. Batched so the accept
-    // backlog never overflows; each batch gives the event loop a beat to
-    // drain it.
-    poll::raise_nofile_limit(connections as u64 + 256);
-    let mut epoll = Epoll::new().expect("epoll");
-    let mut conns: Vec<BenchConn> = Vec::with_capacity(connections);
-    for batch in 0.. {
-        if conns.len() >= connections {
-            break;
-        }
-        let end = (batch + 1) * 100;
-        while conns.len() < connections.min(end) {
-            let stream = connect_with_retry(&addr);
-            stream.set_nodelay(true).expect("nodelay");
-            stream.set_nonblocking(true).expect("nonblocking");
-            epoll.add(stream.as_raw_fd(), conns.len() as u64, EPOLLIN).expect("epoll add");
-            conns.push(BenchConn {
-                stream,
-                out: Vec::new(),
-                out_pos: 0,
-                inflight: VecDeque::new(),
-                inbuf: Vec::new(),
-                registered: EPOLLIN,
-                dead: false,
-            });
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    println!(
-        "grload bench: {} keep-alive connections established against http://{addr}",
-        conns.len()
-    );
-
-    let mut points = Vec::new();
-    for &rate in &rates {
-        let point = run_point(&mut epoll, &mut conns, &request, rate, duration);
-        println!(
-            "  offered {:>7.0} rps │ achieved {:>7.0} rps │ p50 {:>8.3} ms │ p95 {:>8.3} ms │ \
-             p99 {:>8.3} ms │ max {:>8.3} ms │ {} ok, {} errors",
-            point.offered_rps,
-            point.achieved_rps,
-            point.p50.as_secs_f64() * 1e3,
-            point.p95.as_secs_f64() * 1e3,
-            point.p99.as_secs_f64() * 1e3,
-            point.max.as_secs_f64() * 1e3,
-            point.completed,
-            point.errors,
-        );
-        points.push(point);
-    }
-    drop(conns);
-
-    if let Some(path) = &out {
-        write_report(path, &label, connections, duration, &points);
-        println!("grload bench: curve '{label}' written to {}", path.display());
-    }
-
-    // Shut the spawned daemon down before gating, so a gate failure still
-    // leaves no stray daemon behind.
-    if let Some(mut daemon) = spawned {
-        let _ = http(&daemon.addr, "POST", "/v1/shutdown", Some(""));
-        let status = daemon.child.wait().expect("daemon exit");
-        check(status.success(), "spawned daemon exited 0 after the drain");
-    }
-
-    if let Some(path) = &baseline {
-        gate_against_baseline(path, &label, &points, tolerance);
-    }
-}
-
-fn connect_with_retry(addr: &str) -> TcpStream {
-    for attempt in 0..50 {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return stream,
-            Err(_) if attempt < 49 => std::thread::sleep(Duration::from_millis(20)),
-            Err(e) => cli::user_error(&format!("connect {addr}: {e}")),
-        }
-    }
-    unreachable!()
-}
-
-/// Accumulates completions for one bench point.
-struct Recorder {
-    latencies: Vec<Duration>,
-    completed: usize,
-    errors: usize,
-    last_completion: Instant,
-}
-
-impl Recorder {
-    /// Records one response; latency runs from the *scheduled* send time,
-    /// so queueing delay under overload is included.
-    fn record(&mut self, status: u16, scheduled: Instant) {
-        let now = Instant::now();
-        self.latencies.push(now.saturating_duration_since(scheduled));
-        self.last_completion = now;
-        if status == 200 || status == 202 {
-            self.completed += 1;
-        } else {
-            self.errors += 1;
-        }
-    }
-}
-
-/// Runs one open-loop point: `rate` requests/second for `duration`,
-/// scheduled on a fixed grid, round-robin across connections.
-fn run_point(
-    epoll: &mut Epoll,
-    conns: &mut [BenchConn],
-    request: &[u8],
-    rate: f64,
-    duration: Duration,
-) -> BenchPoint {
-    let total = (rate * duration.as_secs_f64()).round().max(1.0) as usize;
-    let interval = Duration::from_secs_f64(1.0 / rate);
-    let started = Instant::now();
-    let drain_deadline = started + duration + Duration::from_secs(10);
-
-    let mut sent = 0usize;
-    let mut rec = Recorder {
-        latencies: Vec::with_capacity(total),
-        completed: 0,
-        errors: 0,
-        last_completion: started,
-    };
-    let mut rr = 0usize;
-    let mut events: Vec<(u64, u32)> = Vec::new();
-    let mut buf = vec![0u8; 64 * 1024];
-
-    while rec.completed + rec.errors < total {
-        let now = Instant::now();
-        if now > drain_deadline {
-            // Stragglers: count every response still owed as an error.
-            rec.errors += conns.iter().map(|c| c.inflight.len()).sum::<usize>();
-            for conn in conns.iter_mut() {
-                conn.inflight.clear();
-            }
-            break;
-        }
-
-        // Send every request whose scheduled time has arrived, regardless
-        // of response progress — the open-loop property. Only the
-        // connection just written to is serviced, never a full scan: at
-        // 10k connections a per-iteration sweep would melt the generator,
-        // not the server.
-        while sent < total {
-            let scheduled = started + interval.mul_f64(sent as f64);
-            if scheduled > now {
-                break;
-            }
-            // Skip dead connections; their requests count as errors.
-            let mut placed = None;
-            for _ in 0..conns.len() {
-                let index = rr % conns.len();
-                rr += 1;
-                if conns[index].dead {
-                    continue;
-                }
-                conns[index].out.extend_from_slice(request);
-                conns[index].inflight.push_back(scheduled);
-                placed = Some(index);
-                break;
-            }
-            match placed {
-                Some(index) => service_bench_conn(epoll, conns, index, &mut buf, &mut rec),
-                None => cli::user_error("bench: every connection died"),
-            }
-            sent += 1;
-        }
-
-        // Sleep until the next scheduled send or a readiness event.
-        let timeout_ms = if sent < total {
-            let next = started + interval.mul_f64(sent as f64);
-            (next.saturating_duration_since(Instant::now()).as_millis() as i64).clamp(0, 10) as i32
-        } else {
-            10
-        };
-        events.clear();
-        epoll.wait(&mut events, timeout_ms).expect("epoll wait");
-        for &(token, _) in &events {
-            service_bench_conn(epoll, conns, token as usize, &mut buf, &mut rec);
-        }
-    }
-
-    rec.latencies.sort_unstable();
-    let wall = rec.last_completion.saturating_duration_since(started).max(duration);
-    BenchPoint {
-        offered_rps: rate,
-        achieved_rps: rec.completed as f64 / wall.as_secs_f64(),
-        p50: percentile(&rec.latencies, 0.50),
-        p95: percentile(&rec.latencies, 0.95),
-        p99: percentile(&rec.latencies, 0.99),
-        max: rec.latencies.last().copied().unwrap_or_default(),
-        completed: rec.completed,
-        errors: rec.errors,
-    }
-}
-
-/// Writes and reads one bench connection as far as the socket allows,
-/// invoking `on_response(status, scheduled_send_time)` per completed
-/// response.
-fn service_bench_conn(
-    epoll: &mut Epoll,
-    conns: &mut [BenchConn],
-    index: usize,
-    buf: &mut [u8],
-    rec: &mut Recorder,
-) {
-    let conn = &mut conns[index];
-    if conn.dead {
-        return;
-    }
-
-    // Write side.
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                kill_bench_conn(epoll, conn, rec);
-                return;
-            }
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                kill_bench_conn(epoll, conn, rec);
-                return;
-            }
-        }
-    }
-    if conn.out_pos == conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-
-    // Read side.
-    loop {
-        match conn.stream.read(buf) {
-            Ok(0) => {
-                kill_bench_conn(epoll, conn, rec);
-                return;
-            }
-            Ok(n) => conn.inbuf.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                kill_bench_conn(epoll, conn, rec);
-                return;
-            }
-        }
-    }
-    let mut start = 0usize;
-    while let Some((status, consumed)) = parse_response(&conn.inbuf[start..]) {
-        let scheduled = conn
-            .inflight
-            .pop_front()
-            .unwrap_or_else(|| cli::user_error("bench: response without a matching request"));
-        rec.record(status, scheduled);
-        start += consumed;
-    }
-    if start > 0 {
-        conn.inbuf.drain(..start);
-    }
-
-    // Interest: always reads; writes only while output is pending.
-    let want = if conn.out_pos < conn.out.len() { EPOLLIN | EPOLLOUT } else { EPOLLIN };
-    if want != conn.registered && epoll.rearm(conn.stream.as_raw_fd(), index as u64, want).is_ok() {
-        conn.registered = want;
-    }
-}
-
-/// Marks a connection dead, counting every response it still owed as an
-/// error (status 0).
-fn kill_bench_conn(epoll: &mut Epoll, conn: &mut BenchConn, rec: &mut Recorder) {
-    conn.dead = true;
-    let _ = epoll.remove(conn.stream.as_raw_fd());
-    while let Some(scheduled) = conn.inflight.pop_front() {
-        rec.record(0, scheduled);
-    }
-}
-
-// ------------------------------------------------------------- bench reporting
-
-/// Merges this run's curve into the report file under `label`,
-/// preserving any other labels already present.
-fn write_report(
-    path: &PathBuf,
-    label: &str,
-    connections: usize,
-    duration: Duration,
-    points: &[BenchPoint],
-) {
-    let mut point_docs = Vec::new();
-    for p in points {
-        let mut doc = Json::obj();
-        doc.set("offered_rps", p.offered_rps)
-            .set("achieved_rps", p.achieved_rps)
-            .set("p50_ms", p.p50.as_secs_f64() * 1e3)
-            .set("p95_ms", p.p95.as_secs_f64() * 1e3)
-            .set("p99_ms", p.p99.as_secs_f64() * 1e3)
-            .set("max_ms", p.max.as_secs_f64() * 1e3)
-            .set("completed", p.completed as u64)
-            .set("errors", p.errors as u64);
-        point_docs.push(doc);
-    }
-    let mut config = Json::obj();
-    config
-        .set("connections", connections as u64)
-        .set("duration_ms", duration.as_millis() as u64)
-        .set("points", Json::Arr(point_docs));
-
-    // Preserve other labels from an existing report.
-    let mut configs = Json::obj();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        if let Ok(doc) = Json::parse(&existing) {
-            if let Some(entries) = doc.get("configs").and_then(Json::entries) {
-                for (key, value) in entries {
-                    if key != label {
-                        configs.set(key.clone(), value.clone());
-                    }
-                }
-            }
-        }
-    }
-    configs.set(label, config);
-    let mut report = Json::obj();
-    report
-        .set("benchmark", "grserved sustained open-loop saturation")
-        .set("scale", "tiny")
-        .set("configs", configs);
-    std::fs::write(path, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| cli::user_error(&format!("write {}: {e}", path.display())));
-}
-
-/// Gates normalized efficiency (achieved/offered) per point against the
-/// committed baseline: a relative drop beyond `tolerance` fails the run.
-/// Absolute latency is deliberately not gated — it varies with host — but
-/// efficiency below 1.0 means the server fell behind the offered load,
-/// which is host-comparable at rates below saturation.
-fn gate_against_baseline(path: &PathBuf, label: &str, points: &[BenchPoint], tolerance: f64) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(_) => {
-            println!("grload bench: no baseline at {} — gate skipped", path.display());
-            return;
-        }
-    };
-    let doc = Json::parse(&text)
-        .unwrap_or_else(|e| cli::user_error(&format!("unparseable baseline: {e}")));
-    let Some(Json::Arr(base_points)) =
-        doc.get("configs").and_then(|c| c.get(label)).and_then(|c| c.get("points")).cloned()
-    else {
-        println!("grload bench: baseline has no '{label}' curve — gate skipped");
-        return;
-    };
-
-    let mut failed = false;
-    for p in points {
-        let base = base_points.iter().find(|b| {
-            b.get("offered_rps")
-                .and_then(Json::as_f64)
-                .is_some_and(|r| (r - p.offered_rps).abs() < 1e-6)
-        });
-        let Some(base) = base else {
-            println!(
-                "grload bench: offered {} rps not in baseline '{label}' — point skipped",
-                p.offered_rps
-            );
-            continue;
-        };
-        let base_eff = base
-            .get("achieved_rps")
-            .and_then(Json::as_f64)
-            .map(|a| a / p.offered_rps)
-            .unwrap_or(0.0);
-        let eff = p.achieved_rps / p.offered_rps;
-        let floor = base_eff * (1.0 - tolerance);
-        let verdict = if eff + 1e-9 < floor {
-            failed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "  gate {label} @ {:>7.0} rps: efficiency {eff:.3} vs baseline {base_eff:.3} \
-             (floor {floor:.3}) — {verdict}",
-            p.offered_rps
-        );
-    }
-    if failed {
-        cli::user_error(&format!(
-            "bench regression: efficiency dropped more than {:.0}% below the baseline",
-            tolerance * 100.0
-        ));
-    }
-    println!("grload bench: no regression beyond {:.0}% tolerance", tolerance * 100.0);
 }

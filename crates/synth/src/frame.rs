@@ -191,6 +191,7 @@ impl<'a> FrameRenderer<'a> {
         for s in 0..Self::STAGES {
             self.run_stage(s);
         }
+        self.trace.shrink_to_fit();
         (self.trace, self.work)
     }
 

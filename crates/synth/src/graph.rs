@@ -473,6 +473,7 @@ impl<'a> GraphRenderer<'a> {
         for s in 0..Self::STAGES {
             self.run_stage(s);
         }
+        self.trace.shrink_to_fit();
         (self.trace, self.work)
     }
 

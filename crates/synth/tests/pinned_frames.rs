@@ -37,3 +37,23 @@ fn quarter_scale_graph_frame_is_pinned() {
     let trace = GraphRenderer::new(&graph, 2, Scale::Quarter).render();
     assert_eq!(fnv(&trace), (86_590, 0xD8C9ACBF7461A173, 0x33C61561D38B3756));
 }
+
+/// Both renderers reserve far more than a tiny or quarter-scale frame
+/// fills; a finished trace must hand the slack back instead of keeping
+/// it alive in the frame cache.
+#[test]
+fn rendered_traces_keep_no_reserved_slack() {
+    let app = AppProfile::by_abbrev("BioShock").expect("known app");
+    let graph = graph_profile("deferred").expect("built-in profile").graph();
+    for scale in [Scale::Tiny, Scale::Quarter] {
+        let mut traces = [
+            FrameRenderer::new(&app, 0, scale).render(),
+            GraphRenderer::new(&graph, 0, scale).render(),
+        ];
+        for trace in &mut traces {
+            let len = trace.len();
+            assert!(len > 0, "{} rendered an empty frame", trace.app());
+            assert_eq!(trace.take_accesses().capacity(), len, "{} kept slack", trace.app());
+        }
+    }
+}

@@ -92,6 +92,13 @@ impl Trace {
     pub fn take_accesses(&mut self) -> Vec<Access> {
         std::mem::take(&mut self.accesses)
     }
+
+    /// Releases the unused part of the access buffer. Renderers reserve
+    /// generously up front so a frame never regrows mid-render; a finished
+    /// trace should not keep that slack alive for as long as it is cached.
+    pub fn shrink_to_fit(&mut self) {
+        self.accesses.shrink_to_fit();
+    }
 }
 
 impl Extend<Access> for Trace {
